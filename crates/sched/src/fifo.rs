@@ -1,18 +1,22 @@
 //! Central-queue FIFO scheduler (the `eager` StarPU policy).
 
-use std::collections::VecDeque;
-
 use mp_dag::ids::TaskId;
 use mp_platform::types::WorkerId;
 
 use crate::api::{SchedView, Scheduler};
+use crate::classq::{CapClasses, ClassQueues};
 
 /// Tasks are handed out in ready order to whichever worker asks first and
 /// can execute them. No model, no locality — the floor every smarter
 /// policy must beat.
+///
+/// The single ready-order queue is stored per capability class, so a pop
+/// compares class heads instead of scanning past tasks the worker cannot
+/// run; the pop order is the one-queue scan's.
 #[derive(Default, Debug)]
 pub struct FifoScheduler {
-    queue: VecDeque<TaskId>,
+    classes: CapClasses,
+    queue: ClassQueues,
 }
 
 impl FifoScheduler {
@@ -27,17 +31,13 @@ impl Scheduler for FifoScheduler {
         "fifo"
     }
 
-    fn push(&mut self, t: TaskId, _releaser: Option<WorkerId>, _view: &SchedView<'_>) {
-        self.queue.push_back(t);
+    fn push(&mut self, t: TaskId, _releaser: Option<WorkerId>, view: &SchedView<'_>) {
+        self.queue.push(self.classes.class_of(t, view), t);
     }
 
     fn pop(&mut self, w: WorkerId, view: &SchedView<'_>) -> Option<TaskId> {
-        // First executable task in ready order; skip (but keep) the rest.
-        let pos = self
-            .queue
-            .iter()
-            .position(|&t| view.worker_can_exec(t, w))?;
-        self.queue.remove(pos)
+        // First executable task in ready order; the rest stay queued.
+        self.queue.pop(w, &self.classes, view, false)
     }
 
     fn pending(&self) -> usize {

@@ -26,6 +26,7 @@
 //! contribution) and implements the same trait.
 
 pub mod api;
+mod classq;
 pub mod concurrent;
 pub mod dm;
 pub mod fifo;

@@ -7,17 +7,21 @@
 //! identical resources — it is included for completeness and ablations,
 //! not as a paper comparator.
 
-use std::collections::VecDeque;
-
 use mp_dag::ids::TaskId;
 use mp_platform::types::WorkerId;
 
 use crate::api::{SchedView, Scheduler};
+use crate::classq::{CapClasses, ClassQueues};
 
 /// Per-worker deques with locality-ordered stealing.
+///
+/// Each deque is stored per capability class, so the owner's newest-first
+/// pop and a thief's oldest-first steal compare class ends instead of
+/// scanning past tasks the popping worker cannot run.
 #[derive(Debug, Default)]
 pub struct LwsScheduler {
-    deques: Vec<VecDeque<TaskId>>,
+    classes: CapClasses,
+    deques: Vec<ClassQueues>,
     /// Round-robin cursor for initially-ready tasks (no releaser).
     rr: usize,
     pending: usize,
@@ -34,22 +38,7 @@ impl LwsScheduler {
 
     fn ensure(&mut self, n: usize) {
         if self.deques.len() < n {
-            self.deques.resize_with(n, VecDeque::new);
-        }
-    }
-
-    fn take_first_executable(
-        deque: &mut VecDeque<TaskId>,
-        w: WorkerId,
-        view: &SchedView<'_>,
-        lifo: bool,
-    ) -> Option<TaskId> {
-        if lifo {
-            let pos = deque.iter().rposition(|&t| view.worker_can_exec(t, w))?;
-            deque.remove(pos)
-        } else {
-            let pos = deque.iter().position(|&t| view.worker_can_exec(t, w))?;
-            deque.remove(pos)
+            self.deques.resize_with(n, ClassQueues::default);
         }
     }
 }
@@ -69,14 +58,15 @@ impl Scheduler for LwsScheduler {
                 i
             }
         };
-        self.deques[owner].push_back(t);
+        let class = self.classes.class_of(t, view);
+        self.deques[owner].push(class, t);
         self.pending += 1;
     }
 
     fn pop(&mut self, w: WorkerId, view: &SchedView<'_>) -> Option<TaskId> {
         self.ensure(view.platform().worker_count());
         // Own deque first, newest-first (cache warmth).
-        if let Some(t) = Self::take_first_executable(&mut self.deques[w.index()], w, view, true) {
+        if let Some(t) = self.deques[w.index()].pop(w, &self.classes, view, true) {
             self.pending -= 1;
             return Some(t);
         }
@@ -104,9 +94,7 @@ impl Scheduler for LwsScheduler {
         }
         for k in 0..self.victim_order[w.index()].len() {
             let v = self.victim_order[w.index()][k];
-            if let Some(t) =
-                Self::take_first_executable(&mut self.deques[v.index()], w, view, false)
-            {
+            if let Some(t) = self.deques[v.index()].pop(w, &self.classes, view, false) {
                 self.pending -= 1;
                 return Some(t);
             }

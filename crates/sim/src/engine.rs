@@ -1323,29 +1323,13 @@ pub fn simulate_cached(
         store.audit_quiesce();
         if cfg.validate && cfg.record_trace {
             trace.validate().expect("trace validation failed");
-            // Precedence: every task starts at or after all predecessors end.
-            for span in &trace.tasks {
-                for &p in graph.preds(span.task) {
-                    let Some(pspan) = trace.span_of(p) else {
-                        // No span: the predecessor must have been served
-                        // from the result cache (it completed, at or
-                        // before the instant it released this task).
-                        assert!(
-                            cache.is_some() && done[p.index()],
-                            "predecessor {p:?} executed without a span"
-                        );
-                        continue;
-                    };
-                    let pe = pspan.end;
-                    assert!(
-                        span.start >= pe - 1e-6,
-                        "{:?} started at {} before predecessor {:?} ended at {}",
-                        span.task,
-                        span.start,
-                        p,
-                        pe
-                    );
-                }
+            // Precedence: every task starts at or after all predecessors
+            // end. A predecessor without a span must have been served from
+            // the result cache (it completed, at or before the instant it
+            // released its successor).
+            if let Err(msg) = trace.check_precedence(graph, |p| cache.is_some() && done[p.index()])
+            {
+                panic!("{msg}");
             }
         }
     }

@@ -91,13 +91,14 @@ pub fn practical_critical_path(trace: &Trace, graph: &TaskGraph) -> Vec<TaskId> 
     else {
         return Vec::new();
     };
+    let index = trace.span_index();
     let mut path = vec![last.task];
     let mut cur = last.task;
     loop {
         let next = graph
             .preds(cur)
             .iter()
-            .filter_map(|&p| trace.span_of(p).map(|s| (p, s.end)))
+            .filter_map(|&p| index.get(p).map(|s| (p, s.end)))
             .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
         match next {
             Some((p, _)) => {

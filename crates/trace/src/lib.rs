@@ -25,4 +25,4 @@ pub use obs::{
     Counter, CounterSnapshot, DecisionInstant, LatencyStats, ObsCell, RankStats, RuntimeEvent,
     RuntimeEventKind,
 };
-pub use record::{TaskSpan, Trace, TransferKind, TransferSpan};
+pub use record::{SpanIndex, TaskSpan, Trace, TransferKind, TransferSpan};

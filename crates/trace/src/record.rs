@@ -1,5 +1,6 @@
 //! Trace records: task and transfer spans.
 
+use mp_dag::graph::TaskGraph;
 use mp_dag::ids::{DataId, TaskId, TaskTypeId};
 use mp_platform::types::{MemNodeId, WorkerId};
 
@@ -62,6 +63,20 @@ pub struct TransferSpan {
     pub kind: TransferKind,
 }
 
+/// Dense task → first-span lookup over one [`Trace`] (see
+/// [`Trace::span_index`]).
+#[derive(Clone, Debug)]
+pub struct SpanIndex<'a> {
+    first: Vec<Option<&'a TaskSpan>>,
+}
+
+impl<'a> SpanIndex<'a> {
+    /// The first span of `t`, if it executed. O(1).
+    pub fn get(&self, t: TaskId) -> Option<&'a TaskSpan> {
+        self.first.get(t.index()).copied().flatten()
+    }
+}
+
 /// A complete execution trace.
 #[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
 pub struct Trace {
@@ -106,9 +121,54 @@ impl Trace {
             .sum()
     }
 
-    /// The span of a given task, if it executed.
+    /// The span of a given task, if it executed: the first one in
+    /// `tasks` order when retries left several. A linear scan, O(N) per
+    /// call; build a [`Self::span_index`] for repeated lookups.
     pub fn span_of(&self, t: TaskId) -> Option<&TaskSpan> {
         self.tasks.iter().find(|s| s.task == t)
+    }
+
+    /// A dense task → first-span index, built in O(N). Every lookup
+    /// answers exactly what [`Self::span_of`] would.
+    pub fn span_index(&self) -> SpanIndex<'_> {
+        let len = self.tasks.iter().map(|s| s.task.index() + 1).max();
+        let mut first = vec![None; len.unwrap_or(0)];
+        for s in &self.tasks {
+            first[s.task.index()].get_or_insert(s);
+        }
+        SpanIndex { first }
+    }
+
+    /// Precedence check in O(N + E): every span starts at or after the
+    /// end of each predecessor's first span (1e-6 µs tolerance). A
+    /// predecessor without a span passes only when `served` says it
+    /// completed without executing (a result-cache hit). Returns the
+    /// first violation, in span order and then predecessor order.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    pub fn check_precedence(
+        &self,
+        graph: &TaskGraph,
+        served: impl Fn(TaskId) -> bool,
+    ) -> Result<(), String> {
+        let index = self.span_index();
+        for span in &self.tasks {
+            for &p in graph.preds(span.task) {
+                let Some(pspan) = index.get(p) else {
+                    if served(p) {
+                        continue;
+                    }
+                    return Err(format!("predecessor {p:?} executed without a span"));
+                };
+                // Negated so that a NaN time counts as a violation.
+                if !(span.start >= pspan.end - 1e-6) {
+                    return Err(format!(
+                        "{:?} started at {} before predecessor {:?} ended at {}",
+                        span.task, span.start, p, pspan.end
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// CSV dump of task spans (`task,type,worker,ready,start,end`).
@@ -168,6 +228,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp_dag::access::AccessMode;
 
     fn span(task: u32, worker: u32, start: f64, end: f64) -> TaskSpan {
         TaskSpan {
@@ -198,6 +259,76 @@ mod tests {
         tr.tasks.push(span(0, 0, 0.0, 5.0));
         tr.tasks.push(span(1, 0, 4.0, 6.0));
         assert!(tr.validate().unwrap_err().contains("overlap"));
+    }
+
+    /// `n` tasks; `edges` are (pred, succ) pairs.
+    fn graph(n: usize, edges: &[(u32, u32)]) -> TaskGraph {
+        let mut g = TaskGraph::new();
+        let k = g.register_type("K", true, false);
+        let d = g.add_data(1, "d");
+        for i in 0..n {
+            g.add_task(k, vec![(d, AccessMode::Read)], 1.0, format!("t{i}"));
+        }
+        for &(a, b) in edges {
+            g.add_edge(TaskId(a), TaskId(b));
+        }
+        g
+    }
+
+    #[test]
+    fn span_index_matches_span_of_and_keeps_the_first_duplicate() {
+        let mut tr = Trace::new(2);
+        tr.tasks.push(span(3, 0, 0.0, 1.0));
+        tr.tasks.push(span(1, 1, 0.0, 2.0));
+        tr.tasks.push(span(3, 1, 2.0, 4.0)); // retry of task 3
+        let index = tr.span_index();
+        for t in 0..6 {
+            assert_eq!(index.get(TaskId(t)), tr.span_of(TaskId(t)));
+        }
+        assert_eq!(index.get(TaskId(3)).unwrap().end, 1.0);
+        assert!(Trace::new(1).span_index().get(TaskId(0)).is_none());
+    }
+
+    #[test]
+    fn precedence_violation_keeps_its_message() {
+        let g = graph(2, &[(0, 1)]);
+        let mut tr = Trace::new(2);
+        tr.tasks.push(span(0, 0, 0.0, 5.0));
+        tr.tasks.push(span(1, 1, 4.0, 6.0));
+        assert_eq!(
+            tr.check_precedence(&g, |_| false).unwrap_err(),
+            "t1 started at 4 before predecessor t0 ended at 5"
+        );
+        tr.tasks[1].start = 5.0 - 1e-7; // inside the tolerance
+        assert!(tr.check_precedence(&g, |_| false).is_ok());
+    }
+
+    #[test]
+    fn spanless_predecessor_passes_only_when_served() {
+        let g = graph(3, &[(0, 2), (1, 2)]);
+        let mut tr = Trace::new(1);
+        tr.tasks.push(span(0, 0, 0.0, 1.0));
+        tr.tasks.push(span(2, 0, 1.0, 2.0));
+        assert_eq!(
+            tr.check_precedence(&g, |_| false).unwrap_err(),
+            "predecessor t1 executed without a span"
+        );
+        assert!(tr.check_precedence(&g, |p| p == TaskId(1)).is_ok());
+        assert!(tr.check_precedence(&g, |p| p == TaskId(0)).is_err());
+    }
+
+    #[test]
+    fn precedence_uses_the_first_of_duplicate_spans() {
+        let g = graph(2, &[(0, 1)]);
+        let mut tr = Trace::new(2);
+        tr.tasks.push(span(0, 0, 0.0, 1.0));
+        tr.tasks.push(span(1, 1, 2.0, 3.0));
+        // A later duplicate of task 0 ends after task 1 started; only the
+        // first span counts.
+        tr.tasks.push(span(0, 0, 1.0, 9.0));
+        assert!(tr.check_precedence(&g, |_| false).is_ok());
+        tr.tasks.swap(0, 2);
+        assert!(tr.check_precedence(&g, |_| false).is_err());
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Steady-state `pop` must not allocate (DESIGN.md §6b).
 //!
-//! A counting global allocator is armed only while `pop` runs. Every
-//! scheduler gets one full warm-up replay (scratch buffers, slabs and
-//! caches grow there), then a second replay over the same graph during
-//! which any pop-path allocation fails the test.
+//! A counting global allocator is armed only while `pop` runs, and only
+//! on the popping thread: the flag is thread-local, so allocations other
+//! threads make meanwhile (the test harness's own) are not counted.
+//! Every scheduler gets one full warm-up replay (scratch buffers, slabs
+//! and caches grow there), then a second replay over the same graph
+//! during which any pop-path allocation fails the test.
 //!
 //! `multiprio-reference` is deliberately excluded: it is the retained
 //! pre-arena implementation whose allocation cost *is* the measured
 //! baseline (see `crates/core/src/reference.rs`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use multiprio_suite::apps::random::{random_dag, random_model, RandomDagConfig};
 use multiprio_suite::bench::{make_scheduler, SCHEDULER_NAMES};
@@ -23,28 +26,33 @@ use multiprio_suite::sched::api::{DataLocator, LoadInfo, SchedView, Scheduler};
 
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // `const`-initialised and without a destructor, so reading it never
+    // allocates (which would recurse into the allocator).
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 static POP_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Count one allocation if this thread is inside an armed `pop`.
+fn note_alloc() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        POP_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            POP_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            POP_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            POP_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -110,11 +118,9 @@ fn drive(
     while scheduled < n {
         let wid = WorkerId::from_index(w);
         w = (w + 1) % nw;
-        if count {
-            ARMED.store(true, Ordering::Relaxed);
-        }
+        ARMED.set(count);
         let popped = sched.pop(wid, &view);
-        ARMED.store(false, Ordering::Relaxed);
+        ARMED.set(false);
         match popped {
             Some(t) => {
                 scheduled += 1;
@@ -134,7 +140,7 @@ fn drive(
     }
 }
 
-/// Sequential by design: the armed/counter pair is process-global, so all
+/// Sequential by design: the counter is process-global, so all
 /// schedulers are checked inside one test function.
 ///
 /// The gate applies to the default build only: with `--features obs`,

@@ -48,9 +48,10 @@ proptest! {
         // Workers never overlap; no task precedes its readiness.
         prop_assert!(r.trace.validate().is_ok());
         // Precedence constraints.
+        let index = r.trace.span_index();
         for span in &r.trace.tasks {
             for &pred in g.preds(span.task) {
-                let pe = r.trace.span_of(pred).unwrap().end;
+                let pe = index.get(pred).unwrap().end;
                 prop_assert!(span.start >= pe - 1e-6);
             }
         }
