@@ -16,6 +16,16 @@ pub trait DataLocator {
     /// All nodes holding a valid replica (at least the home node before
     /// first write). Order is unspecified.
     fn holders(&self, d: DataId) -> Vec<MemNodeId>;
+
+    /// Call `f` on every node [`Self::holders`] would return, in the same
+    /// order. The default forwards to `holders`; locators that can walk
+    /// their replicas in place override it so that hot callers such as
+    /// [`SchedView::fetch_time`] do not allocate.
+    fn for_each_holder(&self, d: DataId, f: &mut dyn FnMut(MemNodeId)) {
+        for m in self.holders(d) {
+            f(m);
+        }
+    }
 }
 
 /// Engine-side load information.
@@ -85,7 +95,8 @@ impl<'a> SchedView<'a> {
     }
 
     /// Estimated time to fetch all of `t`'s *read* data missing on `m`,
-    /// using the fastest valid holder for each handle.
+    /// using the fastest valid holder for each handle. Does not allocate
+    /// when the locator overrides [`DataLocator::for_each_holder`].
     pub fn fetch_time(&self, t: TaskId, m: MemNodeId) -> f64 {
         let g = self.graph();
         let p = self.platform();
@@ -95,12 +106,9 @@ impl<'a> SchedView<'a> {
                 continue;
             }
             let size = g.data_desc(d).size;
-            let best = self
-                .loc
-                .holders(d)
-                .iter()
-                .map(|&h| p.transfer_time(size, h, m))
-                .fold(f64::INFINITY, f64::min);
+            let mut best = f64::INFINITY;
+            self.loc
+                .for_each_holder(d, &mut |h| best = best.min(p.transfer_time(size, h, m)));
             if best.is_finite() {
                 total += best;
             }

@@ -13,6 +13,11 @@
 //! Dmdas is the paper's main comparator. When an application sets no
 //! priorities (FMM, sparse QR in the paper), every task has priority 0 and
 //! dmdas degrades to ready-order insertion, exactly as the paper states.
+//!
+//! A push costs O(W) EFT comparisons over the W workers, but at most one
+//! model estimate per arch and one fetch-time walk per memory node: δ
+//! depends on a worker only through its arch and the fetch time only
+//! through its memory node, so both are memoized for the pushed task.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -21,6 +26,27 @@ use mp_platform::types::WorkerId;
 
 use crate::api::{PrefetchReq, SchedView, Scheduler};
 use crate::util::{best_worker_by, expected_finish};
+
+/// Per-push memo of the EFT inputs that depend on a worker only through
+/// its arch or its memory node. Filled lazily, so a push makes no
+/// estimate and no fetch walk that a per-worker evaluation would not.
+#[derive(Debug, Default)]
+struct PushMemo {
+    /// δ(t, arch) by arch index: `None` until estimated, then the
+    /// estimate (`Some(None)` when the arch cannot run the task).
+    delta: Vec<Option<Option<f64>>>,
+    /// Fetch time of the task's missing reads by memory-node index.
+    fetch: Vec<Option<f64>>,
+}
+
+impl PushMemo {
+    fn reset(&mut self, archs: usize, nodes: usize) {
+        self.delta.clear();
+        self.delta.resize(archs, None);
+        self.fetch.clear();
+        self.fetch.resize(nodes, None);
+    }
+}
 
 /// Which member of the family to instantiate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,14 +69,25 @@ impl DmVariant {
     }
 }
 
-/// One queued entry: task, its user priority, and a submission sequence
-/// number for stable FIFO order among equal priorities.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One queued entry: task, its user priority, a submission sequence
+/// number for stable FIFO order among equal priorities, and the δ added
+/// to the worker's committed work at push (subtracted again at pop, so a
+/// model that changes in between cannot make `committed` drift).
+#[derive(Clone, Copy, Debug)]
 struct Entry {
     t: TaskId,
     prio: i64,
     seq: u64,
+    delta: f64,
 }
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Entry {}
 
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
@@ -100,6 +137,8 @@ pub struct DequeModelScheduler {
     prefetches: Vec<PrefetchReq>,
     /// Scratch for the dmdas locality band (≤ `LOCALITY_BAND` entries).
     band: Vec<Entry>,
+    /// Scratch for the per-push δ and fetch-time memo.
+    memo: PushMemo,
     seq: u64,
     pending: usize,
 }
@@ -114,6 +153,7 @@ impl DequeModelScheduler {
             disabled: Vec::new(),
             prefetches: Vec::new(),
             band: Vec::new(),
+            memo: PushMemo::default(),
             seq: 0,
             pending: 0,
         }
@@ -125,6 +165,17 @@ impl DequeModelScheduler {
             self.committed.resize(n, 0.0);
             self.disabled.resize(n, false);
         }
+    }
+
+    /// Tasks queued on `w`, in queue order: FIFO order for dm/dmda,
+    /// (priority desc, push order) for dmdas. For tests and diagnostics.
+    pub fn queued(&self, w: WorkerId) -> Vec<TaskId> {
+        let Some(q) = self.queues.get(w.index()) else {
+            return Vec::new();
+        };
+        let mut heap: Vec<Entry> = q.heap.iter().copied().collect();
+        heap.sort_unstable_by(|a, b| b.cmp(a));
+        q.fifo.iter().chain(&heap).map(|e| e.t).collect()
     }
 }
 
@@ -140,22 +191,37 @@ impl Scheduler for DequeModelScheduler {
     fn push(&mut self, t: TaskId, _releaser: Option<WorkerId>, view: &SchedView<'_>) {
         self.ensure(view.platform().worker_count());
         let data_aware = self.variant.data_aware();
+        let platform = view.platform();
         let committed = &self.committed;
         let disabled = &self.disabled;
+        let memo = &mut self.memo;
+        memo.reset(platform.arch_count(), platform.mem_node_count());
         let (w, _) = best_worker_by(view, |w| {
             if disabled[w.index()] {
                 return None;
             }
-            expected_finish(view, t, w, committed[w.index()], data_aware)
+            let worker = platform.worker(w);
+            let delta = (*memo.delta[worker.arch.index()]
+                .get_or_insert_with(|| view.est.delta(t, worker.arch)))?;
+            let fetch = if data_aware {
+                *memo.fetch[worker.mem_node.index()]
+                    .get_or_insert_with(|| view.fetch_time(t, worker.mem_node))
+            } else {
+                0.0
+            };
+            Some(expected_finish(view, w, committed[w.index()], fetch, delta))
         })
         .expect("task has no executable worker — generator/platform mismatch");
-        let delta = view.delta_on_worker(t, w).expect("best worker can execute");
+        let delta = self.memo.delta[platform.worker(w).arch.index()]
+            .flatten()
+            .expect("best worker can execute");
         self.committed[w.index()] += delta;
         let prio = view.graph().task(t).user_priority;
         let entry = Entry {
             t,
             prio,
             seq: self.seq,
+            delta,
         };
         self.seq += 1;
         let q = &mut self.queues[w.index()];
@@ -221,10 +287,7 @@ impl Scheduler for DequeModelScheduler {
                 .pop_front()
                 .expect("queue checked non-empty")
         };
-        let delta = view
-            .delta_on_worker(entry.t, w)
-            .expect("mapped to executable worker");
-        self.committed[w.index()] -= delta;
+        self.committed[w.index()] -= entry.delta;
         self.pending -= 1;
         Some(entry.t)
     }
@@ -437,6 +500,68 @@ mod more_tests {
         );
         assert!(s.committed[c1.index()].abs() < 1e-9);
         assert_eq!(s.pending(), 0);
+    }
+
+    /// Under a model whose estimates change between push and pop (a
+    /// history model recording runs in between), pop subtracts exactly
+    /// the δ its push added, so draining every queue leaves `committed`
+    /// at exactly zero.
+    #[test]
+    fn committed_returns_to_zero_when_the_model_changes() {
+        use mp_perfmodel::{EstimateQuery, Estimator, PerfModel, TableModel};
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        use crate::api::SchedView;
+
+        /// The fixture's table scaled by a factor that can change.
+        struct Drifting {
+            base: TableModel,
+            scale: AtomicU64,
+        }
+
+        impl PerfModel for Drifting {
+            fn estimate(&self, q: &EstimateQuery<'_>) -> Option<f64> {
+                let scale = f64::from_bits(self.scale.load(Ordering::Relaxed));
+                self.base.estimate(q).map(|us| us * scale)
+            }
+        }
+
+        let mut fx = Fixture::two_arch();
+        let tasks: Vec<_> = [fx.both, fx.cpu_only, fx.gpu_only]
+            .iter()
+            .cycle()
+            .take(9)
+            .enumerate()
+            .map(|(i, &ty)| fx.add_task(ty, 64, &format!("t{i}")))
+            .collect();
+        let model = Drifting {
+            base: fx.model.clone(),
+            scale: AtomicU64::new(1.0f64.to_bits()),
+        };
+        let view = SchedView {
+            est: Estimator::new(&fx.graph, &fx.platform, &model),
+            loc: &fx.locator,
+            load: &fx.load,
+            now: 0.0,
+        };
+        for variant in [DmVariant::Dm, DmVariant::Dmda, DmVariant::Dmdas] {
+            model.scale.store(1.0f64.to_bits(), Ordering::Relaxed);
+            let mut s = DequeModelScheduler::new(variant);
+            for &t in &tasks {
+                s.push(t, None, &view);
+            }
+            // Every estimate triples before the first pop.
+            model.scale.store(3.0f64.to_bits(), Ordering::Relaxed);
+            for w in fx.platform.workers() {
+                while s.pop(w.id, &view).is_some() {}
+            }
+            assert_eq!(s.pending(), 0);
+            assert!(
+                s.committed.iter().all(|&c| c == 0.0),
+                "{variant:?}: committed drifted to {:?}",
+                s.committed
+            );
+        }
     }
 
     /// Variant names round-trip through the trait.

@@ -1,33 +1,29 @@
 //! Shared helpers for scheduler implementations.
 
-use mp_dag::ids::TaskId;
 use mp_platform::types::WorkerId;
 
 use crate::api::SchedView;
 
-/// Earliest-finish-time estimate of running `t` on `w`, given extra
+/// Earliest-finish-time estimate of running a task on `w`, given extra
 /// `committed_us` of work already queued on that worker inside the
-/// scheduler: `max(now, busy_until(w)) + committed + fetch? + δ`.
+/// scheduler, the task's estimated fetch time `fetch_us` to the worker's
+/// memory node (0 when transfers are ignored) and its duration `delta_us`
+/// on the worker's arch: `max(now, busy_until(w)) + committed + fetch + δ`.
 ///
-/// `with_transfers` adds the estimated fetch time of missing read data to
-/// the worker's memory node (the Dmda refinement).
+/// The fetch time and δ come from the caller because they depend on the
+/// worker only through its memory node and its arch, so a caller that
+/// maps one task over many workers computes each once per distinct value.
 pub fn expected_finish(
     view: &SchedView<'_>,
-    t: TaskId,
     w: WorkerId,
     committed_us: f64,
-    with_transfers: bool,
-) -> Option<f64> {
-    let delta = view.delta_on_worker(t, w)?;
+    fetch_us: f64,
+    delta_us: f64,
+) -> f64 {
     let free_at = view.load.busy_until(w).max(view.now) + committed_us;
-    let fetch = if with_transfers {
-        view.fetch_time(t, view.platform().worker(w).mem_node)
-    } else {
-        0.0
-    };
     // Transfers overlap with the worker draining its queue only partially;
     // StarPU's dm family adds them serially, which we follow.
-    Some(free_at + fetch + delta)
+    free_at + fetch_us + delta_us
 }
 
 /// Deterministic argmin over workers: earliest finish, ties by worker id.
@@ -54,14 +50,26 @@ pub fn best_worker_by<F: FnMut(WorkerId) -> Option<f64>>(
 mod tests {
     use super::*;
     use crate::testutil::Fixture;
-    use mp_platform::types::MemNodeId;
+    use mp_dag::ids::TaskId;
+
+    /// EFT of `t` on `w` with nothing committed, fetch time included when
+    /// `with_transfers` is set.
+    fn eft(view: &SchedView<'_>, t: TaskId, w: WorkerId, with_transfers: bool) -> Option<f64> {
+        let delta = view.delta_on_worker(t, w)?;
+        let fetch = if with_transfers {
+            view.fetch_time(t, view.platform().worker(w).mem_node)
+        } else {
+            0.0
+        };
+        Some(expected_finish(view, w, 0.0, fetch, delta))
+    }
 
     #[test]
     fn eft_prefers_gpu_for_accelerated_kernel() {
         let mut fx = Fixture::two_arch();
         let t = fx.add_task(fx.both, 1024, "t");
         let view = fx.view();
-        let (w, c) = best_worker_by(&view, |w| expected_finish(&view, t, w, 0.0, false)).unwrap();
+        let (w, c) = best_worker_by(&view, |w| eft(&view, t, w, false)).unwrap();
         assert_eq!(w, WorkerId(2));
         assert_eq!(c, 10.0);
     }
@@ -73,7 +81,7 @@ mod tests {
         // GPU busy for 1000 µs: CPU (100 µs) wins.
         fx.load.0.insert(WorkerId(2), 1000.0);
         let view = fx.view();
-        let (w, _) = best_worker_by(&view, |w| expected_finish(&view, t, w, 0.0, false)).unwrap();
+        let (w, _) = best_worker_by(&view, |w| eft(&view, t, w, false)).unwrap();
         assert_eq!(w, WorkerId(0));
     }
 
@@ -87,12 +95,10 @@ mod tests {
             .graph
             .add_task(fx.both, vec![(d, mp_dag::AccessMode::Read)], 1.0, "t");
         let view = fx.view();
-        let (w_no, _) =
-            best_worker_by(&view, |w| expected_finish(&view, t, w, 0.0, false)).unwrap();
-        let (w_da, _) = best_worker_by(&view, |w| expected_finish(&view, t, w, 0.0, true)).unwrap();
+        let (w_no, _) = best_worker_by(&view, |w| eft(&view, t, w, false)).unwrap();
+        let (w_da, _) = best_worker_by(&view, |w| eft(&view, t, w, true)).unwrap();
         assert_eq!(w_no, WorkerId(2), "transfer-blind EFT picks the GPU");
         assert_eq!(w_da, WorkerId(0), "data-aware EFT keeps it on a CPU");
-        let _ = MemNodeId(0);
     }
 
     #[test]
@@ -100,7 +106,7 @@ mod tests {
         let mut fx = Fixture::two_arch();
         let t = fx.add_task(fx.cpu_only, 64, "t");
         let view = fx.view();
-        let (w, _) = best_worker_by(&view, |w| expected_finish(&view, t, w, 0.0, false)).unwrap();
+        let (w, _) = best_worker_by(&view, |w| eft(&view, t, w, false)).unwrap();
         assert_eq!(w, WorkerId(0), "both CPUs cost 50 µs; lowest id wins");
     }
 }

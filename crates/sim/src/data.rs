@@ -457,12 +457,17 @@ impl DataLocator for DataStore {
     }
 
     fn holders(&self, d: DataId) -> Vec<MemNodeId> {
-        self.handles[d.index()]
-            .replicas
-            .iter()
-            .filter(|(_, r)| r.valid_at <= self.now)
-            .map(|(n, _)| *n)
-            .collect()
+        let mut nodes = Vec::new();
+        self.for_each_holder(d, &mut |m| nodes.push(m));
+        nodes
+    }
+
+    fn for_each_holder(&self, d: DataId, f: &mut dyn FnMut(MemNodeId)) {
+        for (n, r) in &self.handles[d.index()].replicas {
+            if r.valid_at <= self.now {
+                f(*n);
+            }
+        }
     }
 }
 
