@@ -1,6 +1,6 @@
 //! Octree construction and task-graph emission for the FMM.
 
-use std::collections::HashMap;
+use std::mem;
 
 use mp_dag::{AccessMode, DataId, StfBuilder, TaskGraph};
 use rand::rngs::StdRng;
@@ -44,12 +44,91 @@ pub struct FmmWorkload {
 struct Level {
     /// Occupied cells (sorted Morton) with particle counts.
     cells: Vec<(u64, u64)>,
-    /// Cell → position in `cells`.
-    index: HashMap<u64, usize>,
-    /// Group of each cell position (cells are grouped in Morton chunks).
-    group_of: Vec<usize>,
-    /// Global group ids of this level's groups.
-    group_ids: Vec<usize>,
+    /// Cell → position + 1 (0: empty) over every Morton code of the
+    /// level, kept only while that table is at most 8× the occupied
+    /// cells; otherwise empty, and lookups binary-search `cells`.
+    slots: Vec<u32>,
+    /// Cells per group (the level's cells are grouped in Morton chunks).
+    group_size: usize,
+    /// Global id of the level's first group; its groups are consecutive.
+    first_group: usize,
+}
+
+impl Level {
+    fn new(level: usize, cells: Vec<(u64, u64)>, group_size: usize, first_group: usize) -> Self {
+        let codes = 1usize << (3 * level);
+        let mut slots = Vec::new();
+        if codes <= 8 * cells.len() {
+            slots = vec![0u32; codes];
+            for (pos, &(m, _)) in cells.iter().enumerate() {
+                slots[m as usize] = pos as u32 + 1;
+            }
+        }
+        Level {
+            cells,
+            slots,
+            group_size,
+            first_group,
+        }
+    }
+
+    /// Position of cell `m` in `cells`, if it is occupied.
+    fn position(&self, m: u64) -> Option<usize> {
+        if self.slots.is_empty() {
+            self.cells.binary_search_by_key(&m, |&(c, _)| c).ok()
+        } else {
+            (self.slots[m as usize] as usize).checked_sub(1)
+        }
+    }
+
+    /// Global group id of the cell at `pos`.
+    fn group_of(&self, pos: usize) -> usize {
+        self.first_group + pos / self.group_size
+    }
+
+    /// Positions of the cells of the level's `i`-th group.
+    fn group_cells(&self, i: usize) -> std::ops::Range<usize> {
+        let start = i * self.group_size;
+        start..(start + self.group_size).min(self.cells.len())
+    }
+
+    /// Number of groups.
+    fn groups(&self) -> usize {
+        self.cells.len().div_ceil(self.group_size)
+    }
+
+    /// Global ids of the level's groups.
+    fn group_ids(&self) -> std::ops::Range<usize> {
+        self.first_group..self.first_group + self.groups()
+    }
+}
+
+/// Sum the counts of equal consecutive keys: sorted `(key, count)` in,
+/// one `(key, total)` per distinct key out.
+fn count_runs<K: PartialEq>(items: impl IntoIterator<Item = (K, u64)>) -> Vec<(K, u64)> {
+    let mut out: Vec<(K, u64)> = Vec::new();
+    for (k, c) in items {
+        match out.last_mut() {
+            Some((last, n)) if *last == k => *n += c,
+            _ => out.push((k, c)),
+        }
+    }
+    out
+}
+
+/// The `((parent group, child group), child cells)` pairs between a
+/// level and the next finer one, in ascending pair order: walking the
+/// sorted child cells, both their group and their parent's group never
+/// decrease, so the pairs arrive sorted and equal ones are adjacent.
+fn tree_pairs(parent: &Level, child: &Level) -> Vec<((usize, usize), u64)> {
+    let mut ppos = 0;
+    count_runs(child.cells.iter().enumerate().map(|(pos, &(m, _))| {
+        let p = morton::parent(m);
+        while parent.cells[ppos].0 != p {
+            ppos += 1;
+        }
+        ((parent.group_of(ppos), child.group_of(pos)), 1)
+    }))
 }
 
 struct Group {
@@ -72,7 +151,16 @@ pub fn fmm(cfg: FmmConfig) -> FmmWorkload {
     // ------------------------------------------------------------------
     // 1. Sample particles into leaf cells.
     // ------------------------------------------------------------------
-    let mut leaf_counts: HashMap<u64, u64> = HashMap::new();
+    // Count particles per leaf cell. With at least as many particles
+    // as leaf cells, count into a dense table over every Morton code;
+    // otherwise keep the codes, sort them and count runs. Either way
+    // the temporary is the smaller of the two sizes.
+    let leaf_codes = 1usize << (3 * leaf_level);
+    let (mut bins, mut codes): (Vec<u64>, Vec<u64>) = if leaf_codes <= cfg.particles {
+        (vec![0; leaf_codes], Vec::new())
+    } else {
+        (Vec::new(), Vec::with_capacity(cfg.particles))
+    };
     let clusters: Vec<(f64, f64, f64)> = (0..8)
         .map(|_| (rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>()))
         .collect();
@@ -95,8 +183,18 @@ pub fn fmm(cfg: FmmConfig) -> FmmWorkload {
         let ix = (x * side as f64) as u32;
         let iy = (y * side as f64) as u32;
         let iz = (z * side as f64) as u32;
-        *leaf_counts.entry(morton::encode(ix, iy, iz)).or_insert(0) += 1;
+        let m = morton::encode(ix, iy, iz);
+        match bins.get_mut(m as usize) {
+            Some(n) => *n += 1,
+            None => codes.push(m),
+        }
     }
+    let leaf_cells: Vec<(u64, u64)> = if bins.is_empty() {
+        codes.sort_unstable();
+        count_runs(codes.into_iter().map(|m| (m, 1)))
+    } else {
+        (0..).zip(bins).filter(|&(_, n)| n > 0).collect()
+    };
 
     // ------------------------------------------------------------------
     // 2. Build levels 2..=leaf_level (occupancy propagates upward).
@@ -109,104 +207,70 @@ pub fn fmm(cfg: FmmConfig) -> FmmWorkload {
     let k_l2p = stf.graph_mut().register_type("L2P", true, false);
     let k_p2p = stf.graph_mut().register_type("P2P", true, true);
 
-    let mut levels: HashMap<usize, Level> = HashMap::new();
+    // Built leaf first; reversed below so that `levels[l - 2]` is level l.
+    let mut levels: Vec<Level> = Vec::with_capacity(leaf_level - 1);
     let mut groups: Vec<Group> = Vec::new();
-    {
-        let mut cur: Vec<(u64, u64)> = {
-            let mut v: Vec<_> = leaf_counts.iter().map(|(&m, &c)| (m, c)).collect();
-            v.sort_unstable();
-            v
-        };
-        for l in (2..=leaf_level).rev() {
-            // Group the sorted cells in Morton chunks.
-            let index: HashMap<u64, usize> =
-                cur.iter().enumerate().map(|(i, &(m, _))| (m, i)).collect();
-            let mut group_of = vec![0usize; cur.len()];
-            let mut group_ids = Vec::new();
-            for (chunk_idx, chunk) in cur.chunks(cfg.group_size).enumerate() {
-                let gid = groups.len();
-                group_ids.push(gid);
-                let ncells = chunk.len();
-                let count: u64 = chunk.iter().map(|&(_, c)| c).sum();
-                let exp_bytes = (ncells as u64) * (EXPANSION_TERMS as u64) * TERM_BYTES;
-                let multipole = stf
-                    .graph_mut()
-                    .add_data(exp_bytes, format!("mult[l{l}g{chunk_idx}]"));
-                let local = stf
-                    .graph_mut()
-                    .add_data(exp_bytes, format!("loc[l{l}g{chunk_idx}]"));
-                let (particles, potential) = if l == leaf_level {
-                    (
-                        Some(stf.graph_mut().add_data(
-                            count.max(1) * PARTICLE_BYTES,
-                            format!("part[g{chunk_idx}]"),
-                        )),
-                        Some(
-                            stf.graph_mut()
-                                .add_data(count.max(1) * 8, format!("pot[g{chunk_idx}]")),
-                        ),
-                    )
-                } else {
-                    (None, None)
-                };
-                groups.push(Group {
-                    multipole,
-                    local,
-                    particles,
-                    potential,
-                    count,
-                });
-                for i in 0..ncells {
-                    let pos = chunk_idx * cfg.group_size + i;
-                    group_of[pos] = gid;
-                }
-            }
-            levels.insert(
-                l,
-                Level {
-                    cells: cur.clone(),
-                    index,
-                    group_of,
-                    group_ids,
-                },
-            );
-            // Parent level occupancy.
-            let mut parents: HashMap<u64, u64> = HashMap::new();
-            for &(m, c) in &cur {
-                *parents.entry(morton::parent(m)).or_insert(0) += c;
-            }
-            let mut v: Vec<_> = parents.into_iter().collect();
-            v.sort_unstable();
-            cur = v;
+    let mut cur = leaf_cells;
+    for l in (2..=leaf_level).rev() {
+        let level = Level::new(l, cur, cfg.group_size, groups.len());
+        for (chunk_idx, chunk) in level.cells.chunks(cfg.group_size).enumerate() {
+            let ncells = chunk.len();
+            let count: u64 = chunk.iter().map(|&(_, c)| c).sum();
+            let exp_bytes = (ncells as u64) * (EXPANSION_TERMS as u64) * TERM_BYTES;
+            let multipole = stf
+                .graph_mut()
+                .add_data(exp_bytes, format!("mult[l{l}g{chunk_idx}]"));
+            let local = stf
+                .graph_mut()
+                .add_data(exp_bytes, format!("loc[l{l}g{chunk_idx}]"));
+            let (particles, potential) = if l == leaf_level {
+                (
+                    Some(
+                        stf.graph_mut()
+                            .add_data(count.max(1) * PARTICLE_BYTES, format!("part[g{chunk_idx}]")),
+                    ),
+                    Some(
+                        stf.graph_mut()
+                            .add_data(count.max(1) * 8, format!("pot[g{chunk_idx}]")),
+                    ),
+                )
+            } else {
+                (None, None)
+            };
+            groups.push(Group {
+                multipole,
+                local,
+                particles,
+                potential,
+                count,
+            });
         }
+        // Parent level occupancy: parents of sorted cells are sorted.
+        cur = count_runs(level.cells.iter().map(|&(m, c)| (morton::parent(m), c)));
+        levels.push(level);
     }
-
-    let group_at = |levels: &HashMap<usize, Level>, l: usize, cell: u64| -> Option<usize> {
-        let lev = levels.get(&l)?;
-        lev.index.get(&cell).map(|&i| lev.group_of[i])
-    };
+    levels.reverse();
+    let level = |l: usize| &levels[l - 2];
 
     // ------------------------------------------------------------------
     // 3. Emit tasks in FMM phase order; STF infers the DAG.
     // ------------------------------------------------------------------
 
     // P2P: direct near-field sums, one task per target leaf group.
-    let leaf = &levels[&leaf_level];
-    for gid_list_pos in 0..leaf.group_ids.len() {
-        let gid = leaf.group_ids[gid_list_pos];
+    let leaf = level(leaf_level);
+    let mut near = Vec::with_capacity(27);
+    for (i, gid) in leaf.group_ids().enumerate() {
         let g = &groups[gid];
         let mut sources: Vec<usize> = Vec::new();
         let mut flops = 0.0f64;
-        // Which cells belong to this group? Scan its slice of the level.
-        let start = gid_list_pos * cfg.group_size;
-        let end = (start + cfg.group_size).min(leaf.cells.len());
-        for pos in start..end {
+        for pos in leaf.group_cells(i) {
             let (m, c) = leaf.cells[pos];
-            for n in morton::neighbors(m, side, true) {
-                if let Some(&npos) = leaf.index.get(&n) {
+            morton::neighbors_into(m, side, true, &mut near);
+            for &n in &near {
+                if let Some(npos) = leaf.position(n) {
                     let (_, nc) = leaf.cells[npos];
                     flops += c as f64 * nc as f64 * P2P_FLOPS_PER_PAIR;
-                    let src_gid = leaf.group_of[npos];
+                    let src_gid = leaf.group_of(npos);
                     if src_gid != gid && !sources.contains(&src_gid) {
                         sources.push(src_gid);
                     }
@@ -224,7 +288,7 @@ pub fn fmm(cfg: FmmConfig) -> FmmWorkload {
     }
 
     // P2M: one per leaf group.
-    for &gid in &levels[&leaf_level].group_ids {
+    for gid in leaf.group_ids() {
         let g = &groups[gid];
         let flops = g.count as f64 * EXPANSION_TERMS * 8.0;
         stf.submit(
@@ -240,18 +304,7 @@ pub fn fmm(cfg: FmmConfig) -> FmmWorkload {
 
     // M2M: bottom-up, one task per (parent group, child group) pair.
     for l in (2..leaf_level).rev() {
-        let child_level = &levels[&(l + 1)];
-        // parent group -> child groups and contributing cell count.
-        let mut pairs: HashMap<(usize, usize), u64> = HashMap::new();
-        for (pos, &(m, _)) in child_level.cells.iter().enumerate() {
-            let cg = child_level.group_of[pos];
-            if let Some(pg) = group_at(&levels, l, morton::parent(m)) {
-                *pairs.entry((pg, cg)).or_insert(0) += 1;
-            }
-        }
-        let mut sorted: Vec<_> = pairs.into_iter().collect();
-        sorted.sort_unstable_by_key(|&(k, _)| k);
-        for ((pg, cg), cells) in sorted {
+        for ((pg, cg), cells) in tree_pairs(level(l), level(l + 1)) {
             let flops = cells as f64 * EXPANSION_TERMS * EXPANSION_TERMS * 0.5;
             stf.submit(
                 k_m2m,
@@ -270,29 +323,38 @@ pub fn fmm(cfg: FmmConfig) -> FmmWorkload {
     // access mode; plain STF ReadWrite would serialize one task per
     // source group into a long chain, so we batch sources into at most
     // M2L_CHUNKS tasks per target — same work, bounded chain length.
+    //
+    // A target group's cells are one Morton chunk, so its interaction
+    // pairs are counted per source group in a dense counter while that
+    // chunk is walked; the touched sources, sorted, are the task inputs.
     const M2L_CHUNKS: usize = 4;
+    let mut list = Vec::with_capacity(189);
     for l in 2..=leaf_level {
-        let lev = &levels[&l];
+        let lev = level(l);
         let lside = 1u32 << l;
-        let mut pairs: HashMap<(usize, usize), u64> = HashMap::new();
-        for (pos, &(m, _)) in lev.cells.iter().enumerate() {
-            let tg = lev.group_of[pos];
-            for s in morton::interaction_list(m, lside) {
-                if let Some(&spos) = lev.index.get(&s) {
-                    let sg = lev.group_of[spos];
-                    *pairs.entry((tg, sg)).or_insert(0) += 1;
+        let mut pairs = vec![0u64; lev.groups()];
+        let mut touched: Vec<usize> = Vec::new();
+        for (i, tg) in lev.group_ids().enumerate() {
+            for pos in lev.group_cells(i) {
+                morton::interaction_list_into(lev.cells[pos].0, lside, &mut list);
+                for &s in &list {
+                    if let Some(spos) = lev.position(s) {
+                        let si = spos / lev.group_size;
+                        if pairs[si] == 0 {
+                            touched.push(si);
+                        }
+                        pairs[si] += 1;
+                    }
                 }
             }
-        }
-        // Regroup per target.
-        let mut per_target: HashMap<usize, Vec<(usize, u64)>> = HashMap::new();
-        for ((tg, sg), n) in pairs {
-            per_target.entry(tg).or_default().push((sg, n));
-        }
-        let mut targets: Vec<_> = per_target.into_iter().collect();
-        targets.sort_unstable_by_key(|&(tg, _)| tg);
-        for (tg, mut sources) in targets {
-            sources.sort_unstable();
+            touched.sort_unstable();
+            let sources: Vec<(usize, u64)> = touched
+                .drain(..)
+                .map(|si| (lev.first_group + si, mem::take(&mut pairs[si])))
+                .collect();
+            if sources.is_empty() {
+                continue;
+            }
             let chunk = sources.len().div_ceil(M2L_CHUNKS).max(1);
             for (ci, batch) in sources.chunks(chunk).enumerate() {
                 let npairs: u64 = batch.iter().map(|&(_, n)| n).sum();
@@ -308,17 +370,7 @@ pub fn fmm(cfg: FmmConfig) -> FmmWorkload {
 
     // L2L: top-down mirror of M2M.
     for l in 2..leaf_level {
-        let child_level = &levels[&(l + 1)];
-        let mut pairs: HashMap<(usize, usize), u64> = HashMap::new();
-        for (pos, &(m, _)) in child_level.cells.iter().enumerate() {
-            let cg = child_level.group_of[pos];
-            if let Some(pg) = group_at(&levels, l, morton::parent(m)) {
-                *pairs.entry((pg, cg)).or_insert(0) += 1;
-            }
-        }
-        let mut sorted: Vec<_> = pairs.into_iter().collect();
-        sorted.sort_unstable_by_key(|&(k, _)| k);
-        for ((pg, cg), cells) in sorted {
+        for ((pg, cg), cells) in tree_pairs(level(l), level(l + 1)) {
             let flops = cells as f64 * EXPANSION_TERMS * EXPANSION_TERMS * 0.5;
             stf.submit(
                 k_l2l,
@@ -333,7 +385,7 @@ pub fn fmm(cfg: FmmConfig) -> FmmWorkload {
     }
 
     // L2P: one per leaf group.
-    for &gid in &levels[&leaf_level].group_ids {
+    for gid in leaf.group_ids() {
         let g = &groups[gid];
         let flops = g.count as f64 * EXPANSION_TERMS * 8.0;
         stf.submit(
@@ -351,9 +403,9 @@ pub fn fmm(cfg: FmmConfig) -> FmmWorkload {
     let graph = stf.finish();
     let total_flops = graph.stats().total_flops;
     let stats = FmmStats {
-        leaf_cells: levels[&leaf_level].cells.len(),
+        leaf_cells: leaf.cells.len(),
         groups: groups.len(),
-        leaf_groups: levels[&leaf_level].group_ids.len(),
+        leaf_groups: leaf.groups(),
     };
     FmmWorkload {
         graph,

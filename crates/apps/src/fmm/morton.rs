@@ -37,8 +37,15 @@ pub fn parent(m: u64) -> u64 {
 /// The up-to-26 neighbor cells (plus optionally self) of a cell at a
 /// level with `side` cells per dimension.
 pub fn neighbors(m: u64, side: u32, include_self: bool) -> Vec<u64> {
-    let (x, y, z) = decode(m);
     let mut out = Vec::with_capacity(27);
+    neighbors_into(m, side, include_self, &mut out);
+    out
+}
+
+/// [`neighbors`] into a reused buffer, which is cleared first.
+pub fn neighbors_into(m: u64, side: u32, include_self: bool, out: &mut Vec<u64>) {
+    out.clear();
+    let (x, y, z) = decode(m);
     for dx in -1i64..=1 {
         for dy in -1i64..=1 {
             for dz in -1i64..=1 {
@@ -55,24 +62,59 @@ pub fn neighbors(m: u64, side: u32, include_self: bool) -> Vec<u64> {
             }
         }
     }
-    out
 }
 
 /// The M2L interaction list of a cell: children of the parent's neighbors
 /// that are not neighbors of the cell itself (at most 189 entries).
 pub fn interaction_list(m: u64, side: u32) -> Vec<u64> {
-    let parent_side = (side / 2).max(1);
-    let near: Vec<u64> = neighbors(m, side, true);
     let mut out = Vec::with_capacity(189);
-    for pn in neighbors(parent(m), parent_side, true) {
-        for child in 0..8u64 {
-            let c = (pn << 3) | child;
-            if !near.contains(&c) {
-                out.push(c);
+    interaction_list_into(m, side, &mut out);
+    out
+}
+
+/// [`interaction_list`] into a reused buffer, which is cleared first.
+///
+/// Entries come in the order of the parent's [`neighbors`] (self
+/// included), eight children each. A child is near-field, and skipped,
+/// when it is in bounds and within Chebyshev distance 1 of the cell —
+/// exactly membership in `neighbors(m, side, true)`, tested on
+/// coordinates instead of by search.
+pub fn interaction_list_into(m: u64, side: u32, out: &mut Vec<u64>) {
+    out.clear();
+    let (x, y, z) = decode(m);
+    let parent_side = i64::from((side / 2).max(1));
+    let (px, py, pz) = decode(parent(m));
+    for dx in -1i64..=1 {
+        for dy in -1i64..=1 {
+            for dz in -1i64..=1 {
+                let (qx, qy, qz) = (px as i64 + dx, py as i64 + dy, pz as i64 + dz);
+                if !((0..parent_side).contains(&qx)
+                    && (0..parent_side).contains(&qy)
+                    && (0..parent_side).contains(&qz))
+                {
+                    continue;
+                }
+                let (qx, qy, qz) = (qx as u32, qy as u32, qz as u32);
+                let pn = encode(qx, qy, qz);
+                for child in 0..8u32 {
+                    let (cx, cy, cz) = (
+                        2 * qx + (child & 1),
+                        2 * qy + (child >> 1 & 1),
+                        2 * qz + (child >> 2),
+                    );
+                    let near = cx < side
+                        && cy < side
+                        && cz < side
+                        && cx.abs_diff(x) <= 1
+                        && cy.abs_diff(y) <= 1
+                        && cz.abs_diff(z) <= 1;
+                    if !near {
+                        out.push((pn << 3) | u64::from(child));
+                    }
+                }
             }
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -140,13 +140,17 @@ impl TaskGraph {
             assert!(d.index() < self.data.len(), "unknown data handle {d:?}");
         }
         let id = TaskId::from_index(self.tasks.len());
+        // The conversion reuses the caller's buffer in place; drop any
+        // spare capacity it had, since the graph keeps it for good.
+        let mut accesses: Vec<Access> = accesses
+            .into_iter()
+            .map(|(data, mode)| Access { data, mode })
+            .collect();
+        accesses.shrink_to_fit();
         self.tasks.push(Task {
             id,
             ttype,
-            accesses: accesses
-                .into_iter()
-                .map(|(data, mode)| Access { data, mode })
-                .collect(),
+            accesses,
             user_priority: 0,
             flops,
             label: label.into(),

@@ -11,8 +11,6 @@
 //! Because every inferred edge points from an earlier submission to a
 //! later one, the resulting graph is acyclic by construction.
 
-use std::collections::HashMap;
-
 use crate::access::AccessMode;
 use crate::graph::{CacheMeta, TaskGraph};
 use crate::hash;
@@ -43,13 +41,19 @@ struct DataFlow {
 #[derive(Default, Clone, Debug)]
 pub struct StfBuilder {
     graph: TaskGraph,
-    flows: HashMap<DataId, DataFlow>,
-    /// Current data version of every handle, updated on each write. A
-    /// handle that was never written (and never seeded through
-    /// [`Self::set_data_version`]) gets a deterministic identity-based
-    /// initial version, so rebuilding the same program yields the same
-    /// versions — and the same cache keys.
-    versions: HashMap<DataId, u64>,
+    /// Inference state per handle, indexed by `DataId`. Handles can be
+    /// added to the graph at any time; [`Self::fit_state`] catches up.
+    flows: Vec<DataFlow>,
+    /// Current data version of every handle, indexed by `DataId` and
+    /// updated on each write. A handle that was never written (and never
+    /// seeded through [`Self::set_data_version`]) reads as `None` and
+    /// gets a deterministic identity-based initial version, so
+    /// rebuilding the same program yields the same versions — and the
+    /// same cache keys.
+    versions: Vec<Option<u64>>,
+    /// FNV-1a hash of each task type's name, indexed by `TaskTypeId`
+    /// (the first word of every fingerprint), filled on first use.
+    type_hashes: Vec<Option<u64>>,
 }
 
 impl StfBuilder {
@@ -63,8 +67,7 @@ impl StfBuilder {
     pub fn from_graph(graph: TaskGraph) -> Self {
         Self {
             graph,
-            flows: HashMap::new(),
-            versions: HashMap::new(),
+            ..Self::default()
         }
     }
 
@@ -87,18 +90,20 @@ impl StfBuilder {
         flops: f64,
         label: impl Into<String>,
     ) -> TaskId {
-        let t = self.graph.add_task(ttype, accesses.clone(), flops, label);
-        let meta = self.derive_cache_meta(ttype, &accesses, flops);
+        let t = self.graph.add_task(ttype, accesses, flops, label);
+        self.fit_state();
+        let meta = self.derive_cache_meta(t);
         self.graph.set_cache_meta(t, meta);
-        for (d, mode) in accesses {
-            let flow = self.flows.entry(d).or_default();
-            if mode.reads() {
+        for i in 0..self.graph.task(t).accesses.len() {
+            let a = self.graph.task(t).accesses[i];
+            let flow = &mut self.flows[a.data.index()];
+            if a.mode.reads() {
                 // RAW: depend on the last producer of the value we read.
                 if let Some(w) = flow.last_writer {
                     self.graph.add_edge(w, t);
                 }
             }
-            if mode.writes() {
+            if a.mode.writes() {
                 // WAR: wait for every reader of the previous value...
                 for &r in &flow.readers_since_write {
                     if r != t {
@@ -115,7 +120,7 @@ impl StfBuilder {
                 flow.last_writer = Some(t);
                 flow.readers_since_write.clear();
             }
-            if mode.reads() && !mode.writes() {
+            if a.mode.reads() && !a.mode.writes() {
                 flow.readers_since_write.push(t);
             }
         }
@@ -161,13 +166,27 @@ impl StfBuilder {
     /// Must be called before the first task touching `d` is submitted to
     /// affect that task's key.
     pub fn set_data_version(&mut self, d: DataId, version: u64) {
-        self.versions.insert(d, version);
+        self.fit_state();
+        self.versions[d.index()] = Some(version);
     }
 
     /// The current version of `d` (as the next reader would observe it).
-    pub fn data_version(&mut self, d: DataId) -> u64 {
-        let init = self.initial_version(d);
-        *self.versions.entry(d).or_insert(init)
+    pub fn data_version(&self, d: DataId) -> u64 {
+        match self.versions.get(d.index()) {
+            Some(&Some(v)) => v,
+            _ => self.initial_version(d),
+        }
+    }
+
+    /// Size the per-handle and per-type state to the graph, which may
+    /// have gained handles or types since the last call.
+    fn fit_state(&mut self) {
+        let n = self.graph.data_count();
+        if self.flows.len() < n {
+            self.flows.resize_with(n, DataFlow::default);
+            self.versions.resize(n, None);
+        }
+        self.type_hashes.resize(self.graph.types().len(), None);
     }
 
     /// Deterministic initial version for a never-written handle, derived
@@ -198,36 +217,33 @@ impl StfBuilder {
     /// changed key re-versions every output — the transitive consumers'
     /// keys change in turn, which is exactly the dirty cone of an
     /// incremental resubmission.
-    fn derive_cache_meta(
-        &mut self,
-        ttype: TaskTypeId,
-        accesses: &[(DataId, AccessMode)],
-        flops: f64,
-    ) -> CacheMeta {
-        let mut fingerprint = Vec::with_capacity(2 + 3 * accesses.len());
-        fingerprint.push(hash::fnv1a_bytes(
-            self.graph.task_type(ttype).name.as_bytes(),
-        ));
-        fingerprint.push(flops.to_bits());
-        for &(d, mode) in accesses {
-            let code = match mode {
+    fn derive_cache_meta(&mut self, t: TaskId) -> CacheMeta {
+        let ttype = self.graph.task(t).ttype;
+        let graph = &self.graph;
+        let name_hash = *self.type_hashes[ttype.index()]
+            .get_or_insert_with(|| hash::fnv1a_bytes(graph.task_type(ttype).name.as_bytes()));
+        let task = self.graph.task(t);
+        let mut fingerprint = Vec::with_capacity(2 + 3 * task.accesses.len());
+        fingerprint.push(name_hash);
+        fingerprint.push(task.flops.to_bits());
+        for a in &task.accesses {
+            let code = match a.mode {
                 AccessMode::Read => 1u64,
                 AccessMode::Write => 2,
                 AccessMode::ReadWrite => 3,
             };
             fingerprint.push(code);
-            fingerprint.push(self.identity_word(d));
-            if mode.reads() {
-                let v = self.data_version(d);
-                fingerprint.push(v);
+            fingerprint.push(self.identity_word(a.data));
+            if a.mode.reads() {
+                fingerprint.push(self.data_version(a.data));
             }
         }
         let key = hash::fnv1a_words(&fingerprint);
         let mut out_versions = Vec::new();
-        for (i, &(d, mode)) in accesses.iter().enumerate() {
-            if mode.writes() {
+        for (i, a) in task.accesses.iter().enumerate() {
+            if a.mode.writes() {
                 let v = hash::mix64(key ^ hash::mix64(i as u64 + 1));
-                self.versions.insert(d, v);
+                self.versions[a.data.index()] = Some(v);
                 out_versions.push(v);
             }
         }

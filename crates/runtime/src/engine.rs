@@ -606,115 +606,123 @@ impl Runtime {
             now,
         };
 
-        // Result-cache probe for a newly-ready task (DESIGN.md §12). On
-        // a verified payload-carrying hit the task completes right here:
-        // the memoized buffers are copied back under the write locks,
-        // the completion is published, and newly-ready successors are
-        // probed in turn — the task never reaches the scheduler front,
-        // the estimator, or a kernel. Anything else returns `false` and
-        // the caller pushes the task as before. Runs on the submitting
-        // thread (seeding) and on worker threads (successor release);
-        // every touched piece of state is atomic or lock-guarded, and a
-        // task is probed exactly once (by its unique releaser), so on a
-        // cached run `hits + misses == tasks`.
-        let cache_complete = |t0: TaskId, via: Option<WorkerId>, obs: &ObsCell| -> bool {
-            let Some(rc) = cache.as_deref() else {
-                return false;
-            };
-            let lane = via.map_or(nw, |w| w.index());
-            let probe = |t: TaskId| -> Option<Arc<CacheEntry>> {
-                match graph.cache_meta(t).map(|m| rc.lookup(m, true)) {
-                    Some(Lookup::Hit(e)) => return Some(e),
-                    Some(Lookup::Invalidated) => {
-                        obs.bump(Counter::CacheInvalidations);
-                        obs.bump(Counter::CacheMisses);
-                        if obs_enabled() {
-                            let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                            ev.push(RuntimeEvent {
-                                worker: lane,
-                                at: now_us(),
-                                kind: RuntimeEventKind::CacheInvalidated,
-                            });
+        // Release newly-ready tasks (DESIGN.md §12): `ready` holds tasks
+        // whose indegree just reached zero; the misses among them are
+        // pushed. With a result cache installed each one is probed
+        // first, and a verified payload-carrying hit completes right
+        // here: the memoized buffers are copied back under the write
+        // locks, the completion is published, and the successors it
+        // releases are probed in turn — the task never reaches the
+        // scheduler front, the estimator, or a kernel. Every newly-ready
+        // task, cascade included, is probed before any miss is pushed:
+        // identical ready siblings share one cache key, and a miss
+        // pushed before its twin was probed could run on another worker
+        // and populate the entry first, turning the twin into a hit.
+        // Runs on the submitting thread (seeding) and on worker threads
+        // (successor release); every touched piece of state is atomic
+        // or lock-guarded, and a task is probed exactly once (by its
+        // unique releaser), so on a cached run `hits + misses == tasks`.
+        // On return `ready` holds exactly the pushed tasks.
+        let release = |ready: &mut Vec<TaskId>,
+                       via: Option<WorkerId>,
+                       obs: &ObsCell,
+                       view: &SchedView<'_>| {
+            if let Some(rc) = cache.as_deref() {
+                let lane = via.map_or(nw, |w| w.index());
+                let probe = |t: TaskId| -> Option<Arc<CacheEntry>> {
+                    match graph.cache_meta(t).map(|m| rc.lookup(m, true)) {
+                        Some(Lookup::Hit(e)) => return Some(e),
+                        Some(Lookup::Invalidated) => {
+                            obs.bump(Counter::CacheInvalidations);
+                            obs.bump(Counter::CacheMisses);
+                            if obs_enabled() {
+                                let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
+                                ev.push(RuntimeEvent {
+                                    worker: lane,
+                                    at: now_us(),
+                                    kind: RuntimeEventKind::CacheInvalidated,
+                                });
+                            }
                         }
+                        _ => obs.bump(Counter::CacheMisses),
                     }
-                    _ => obs.bump(Counter::CacheMisses),
-                }
-                None
-            };
-            let Some(first) = probe(t0) else {
-                return false;
-            };
-            let mut worklist = vec![(t0, first)];
-            while let Some((t, entry)) = worklist.pop() {
-                // Materialize the payload in the same dedup'd write
-                // order the populate path stored it. The task is ready,
-                // so WAR/RAW edges guarantee no live reader or writer
-                // of these buffers — locking is as safe as executing.
-                let payload = entry
-                    .payload
-                    .as_ref()
-                    .expect("payload-less entry served to the runtime");
-                let mut written: Vec<DataId> = Vec::new();
-                for d in graph.task(t).writes() {
-                    if written.contains(&d) {
-                        continue;
+                    None
+                };
+                let mut hits: Vec<(TaskId, Arc<CacheEntry>)> = Vec::new();
+                ready.retain(|&t| match probe(t) {
+                    Some(e) => {
+                        hits.push((t, e));
+                        false
                     }
-                    let src = &payload[written.len()];
-                    written.push(d);
-                    let mut buf = buffers[d.index()].write().expect("buffer poisoned");
-                    buf.clear();
-                    buf.extend_from_slice(src);
-                }
-                obs.bump(Counter::CacheHits);
-                obs.add(Counter::BytesMaterialized, entry.bytes);
-                if obs_enabled() {
-                    let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                    ev.push(RuntimeEvent {
-                        worker: lane,
-                        at: now_us(),
-                        kind: RuntimeEventKind::CacheHit,
-                    });
-                }
-                done_flags[t.index()].store(true, Ordering::Release);
-                completed.fetch_add(1, Ordering::AcqRel);
-                let now = now_us();
-                let view = make_view(now);
-                for &succ in graph.succs(t) {
-                    if indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        ready_at[succ.index()].store(now.to_bits(), Ordering::Relaxed);
-                        match probe(succ) {
-                            Some(e) => worklist.push((succ, e)),
-                            None => {
-                                front.push(succ, via, &view);
-                                obs.bump(Counter::Pushes);
+                    None => true,
+                });
+                let any_hit = !hits.is_empty();
+                while let Some((t, entry)) = hits.pop() {
+                    // Materialize the payload in the same dedup'd write
+                    // order the populate path stored it. The task is
+                    // ready, so WAR/RAW edges guarantee no live reader
+                    // or writer of these buffers — locking is as safe
+                    // as executing.
+                    let payload = entry
+                        .payload
+                        .as_ref()
+                        .expect("payload-less entry served to the runtime");
+                    let mut written: Vec<DataId> = Vec::new();
+                    for d in graph.task(t).writes() {
+                        if written.contains(&d) {
+                            continue;
+                        }
+                        let src = &payload[written.len()];
+                        written.push(d);
+                        let mut buf = buffers[d.index()].write().expect("buffer poisoned");
+                        buf.clear();
+                        buf.extend_from_slice(src);
+                    }
+                    obs.bump(Counter::CacheHits);
+                    obs.add(Counter::BytesMaterialized, entry.bytes);
+                    if obs_enabled() {
+                        let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
+                        ev.push(RuntimeEvent {
+                            worker: lane,
+                            at: now_us(),
+                            kind: RuntimeEventKind::CacheHit,
+                        });
+                    }
+                    done_flags[t.index()].store(true, Ordering::Release);
+                    completed.fetch_add(1, Ordering::AcqRel);
+                    let now = now_us();
+                    for &succ in graph.succs(t) {
+                        if indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
+                            ready_at[succ.index()].store(now.to_bits(), Ordering::Relaxed);
+                            match probe(succ) {
+                                Some(e) => hits.push((succ, e)),
+                                None => ready.push(succ),
                             }
                         }
                     }
                 }
-                let _ = front.drain_prefetches();
+                if any_hit {
+                    wake.notify();
+                }
             }
-            wake.notify();
-            true
+            for &t in ready.iter() {
+                front.push(t, via, view);
+                obs.bump(Counter::Pushes);
+            }
+            let _ = front.drain_prefetches(); // unified memory: no-op
         };
 
         // Seed initial ready tasks. Snapshot the sources before probing:
         // a cache hit completes in place and can drive successors'
-        // indegrees to zero mid-scan, and those are released inside
-        // `cache_complete` — the outer scan must only ever see true
-        // sources (whose indegree no release can touch).
+        // indegrees to zero, and those are released inside `release` —
+        // only true sources (whose indegree no release can touch) may
+        // be seeded here.
         {
-            let view = make_view(0.0);
-            let sources: Vec<TaskId> = (0..n)
+            let mut sources: Vec<TaskId> = (0..n)
                 .map(TaskId::from_index)
                 .filter(|t| indeg[t.index()].load(Ordering::Relaxed) == 0)
                 .collect();
-            for t in sources {
-                if !cache_complete(t, None, &seed_obs) {
-                    front.push(t, None, &view);
-                    seed_obs.bump(Counter::Pushes);
-                }
-            }
-            let _ = front.drain_prefetches(); // unified memory: no-op
+            release(&mut sources, None, &seed_obs, &make_view(0.0));
         }
 
         std::thread::scope(|scope| {
@@ -737,13 +745,15 @@ impl Runtime {
                 let done_flags = &done_flags;
                 let worker_classes = &worker_classes;
                 let cache = &cache;
-                let cache_complete = &cache_complete;
+                let release = &release;
                 scope.spawn(move || {
                     let arch = platform.worker(w).arch;
                     let class = platform.arch(arch).class;
                     // Committed tasks on this worker; read only by its
                     // own kill-threshold check.
                     let mut my_done = 0u32;
+                    // Successors released by one completion (reused).
+                    let mut ready: Vec<TaskId> = Vec::new();
                     loop {
                         // Epoch BEFORE the exit check and the pop attempt:
                         // any completion, abort or push bumps it *after*
@@ -1063,18 +1073,15 @@ impl Runtime {
                                 },
                                 &view,
                             );
+                            ready.clear();
                             for &succ in graph.succs(t) {
                                 if indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    if cache_complete(succ, Some(w), obs) {
-                                        continue;
-                                    }
                                     ready_at[succ.index()]
                                         .store(t_end.to_bits(), Ordering::Relaxed);
-                                    front.push(succ, Some(w), &view);
-                                    obs.bump(Counter::Pushes);
+                                    ready.push(succ);
                                 }
                             }
-                            let _ = front.drain_prefetches();
+                            release(&mut ready, Some(w), obs, &view);
                         }
                         done_flags[t.index()].store(true, Ordering::Release);
                         completed.fetch_add(1, Ordering::AcqRel);
@@ -1595,6 +1602,35 @@ mod tests {
         assert_eq!(report.trace.tasks[0].task, TaskId::from_index(0));
         assert!(warm.buffer(x).iter().all(|&v| v == 9.0));
         assert_eq!(warm.buffer(sum)[0], 9.0 * 64.0);
+    }
+
+    /// Identical ready siblings share one cache key. A cold run must
+    /// execute every one of them: the release loop probes all newly
+    /// ready tasks before pushing any, so no sibling can run and
+    /// populate the entry while a twin still waits to be probed.
+    #[test]
+    fn identical_ready_siblings_all_execute_on_a_cold_run() {
+        const WIDTH: usize = 32;
+        let mut rt = Runtime::new(homogeneous(4), model());
+        rt.set_cache(Arc::new(ResultCache::new()));
+        let root = rt.register(vec![0.0], "root");
+        rt.submit(
+            TaskBuilder::new("AXPY")
+                .access(root, AccessMode::Write)
+                .cpu(|ctx| ctx.w(0)[0] = 7.0)
+                .flops(1.0),
+        );
+        for _ in 0..WIDTH {
+            rt.submit(
+                TaskBuilder::new("AXPY")
+                    .access(root, AccessMode::Read)
+                    .cpu(|_| {})
+                    .flops(1.0),
+            );
+        }
+        let report = rt.run(Box::new(FifoScheduler::new())).expect("cold run");
+        assert!(report.is_complete());
+        assert_eq!(report.trace.tasks.len(), 1 + WIDTH);
     }
 
     #[test]

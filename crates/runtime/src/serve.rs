@@ -309,22 +309,29 @@ impl Runtime {
         let start = Instant::now();
         let now_us = || start.elapsed().as_secs_f64() * 1e6;
 
-        // Result-cache probe for a released task, mirroring the batch
-        // engine's `cache_complete`: on a verified payload-carrying hit
-        // the memoized buffers are copied back under the buffer write
-        // locks, the completion (tenant ledger included) is published,
-        // and newly-ready successors are probed in turn — the task
-        // never reaches the front-end, the estimator or a kernel.
-        // Returns `false` on a miss and the caller pushes as before.
+        // Release newly-ready tasks, mirroring the batch engine's
+        // `release`: `ready` holds tasks whose indegree just reached
+        // zero; the misses among them are pushed. With a result cache
+        // installed each one is probed first, and on a verified
+        // payload-carrying hit the memoized buffers are copied back
+        // under the buffer write locks, the completion (tenant ledger
+        // included) is published, and the successors it releases are
+        // probed in turn — the task never reaches the front-end, the
+        // estimator or a kernel. Every newly-ready task, cascade
+        // included, is probed before any miss is pushed, so a fast
+        // worker cannot run one identical sibling and populate the
+        // shared entry while its twins still wait to be probed. On
+        // return `ready` holds exactly the pushed tasks.
         // Callers hold a `shared` guard: a read guard on workers, the
         // write guard on the driver — either way the graph cannot grow
         // under the cascade, and a released task's WAR/RAW edges
         // guarantee no live reader or writer of its written buffers.
-        let cache_complete =
-            |g: &Shared, t0: TaskId, via: Option<WorkerId>, obs: &ObsCell| -> bool {
-                let Some(rc) = cache.as_deref() else {
-                    return false;
-                };
+        let release = |g: &Shared,
+                       ready: &mut Vec<TaskId>,
+                       via: Option<WorkerId>,
+                       obs: &ObsCell,
+                       view: &SchedView<'_>| {
+            if let Some(rc) = cache.as_deref() {
                 let probe = |t: TaskId| -> Option<Arc<CacheEntry>> {
                     match g.stf.graph().cache_meta(t).map(|m| rc.lookup(m, true)) {
                         Some(Lookup::Hit(e)) => return Some(e),
@@ -340,11 +347,16 @@ impl Runtime {
                     }
                     None
                 };
-                let Some(first) = probe(t0) else {
-                    return false;
-                };
-                let mut worklist = vec![(t0, first)];
-                while let Some((t, entry)) = worklist.pop() {
+                let mut hits: Vec<(TaskId, Arc<CacheEntry>)> = Vec::new();
+                ready.retain(|&t| match probe(t) {
+                    Some(e) => {
+                        hits.push((t, e));
+                        false
+                    }
+                    None => true,
+                });
+                let any_hit = !hits.is_empty();
+                while let Some((t, entry)) = hits.pop() {
                     // Materialize the payload in the same dedup'd write
                     // order the populate path stored it.
                     let payload = entry
@@ -372,35 +384,31 @@ impl Runtime {
                     tenant_cache_hits[ti].fetch_add(1, Ordering::Relaxed);
                     completed_tasks.fetch_add(1, Ordering::AcqRel);
                     let now = now_us();
-                    let view = SchedView {
-                        est: Estimator::new(g.stf.graph(), platform, model),
-                        loc: &unified,
-                        load: &loads,
-                        now,
-                    };
                     for &succ in g.stf.graph().succs(t) {
                         if g.indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
                             g.ready_at[succ.index()].store(now.to_bits(), Ordering::Relaxed);
                             match probe(succ) {
-                                Some(e) => worklist.push((succ, e)),
-                                None => {
-                                    front.push(succ, via, &view);
-                                    obs.bump(Counter::Pushes);
-                                }
+                                Some(e) => hits.push((succ, e)),
+                                None => ready.push(succ),
                             }
                         }
                     }
-                    let _ = front.drain_prefetches();
                 }
-                wake.notify();
-                true
-            };
+                if any_hit {
+                    wake.notify();
+                }
+            }
+            for &t in ready.iter() {
+                front.push(t, via, view);
+                obs.bump(Counter::Pushes);
+            }
+            let _ = front.drain_prefetches();
+        };
 
         // Seed pre-existing sources before any worker spawns. Snapshot
         // the sources first: a cache hit completes in place and can
-        // drive successors' indegrees to zero mid-scan, and those are
-        // released inside `cache_complete` — the outer scan must only
-        // ever see true sources.
+        // drive successors' indegrees to zero, and those are released
+        // inside `release` — only true sources may be seeded here.
         {
             let g = shared.read().unwrap_or_else(|e| e.into_inner());
             let view = SchedView {
@@ -409,18 +417,11 @@ impl Runtime {
                 load: &loads,
                 now: 0.0,
             };
-            let sources: Vec<TaskId> = (0..pre)
+            let mut sources: Vec<TaskId> = (0..pre)
                 .map(TaskId::from_index)
                 .filter(|t| g.indeg[t.index()].load(Ordering::Relaxed) == 0)
                 .collect();
-            for t in sources {
-                if cache_complete(&g, t, None, &driver_obs) {
-                    continue;
-                }
-                front.push(t, None, &view);
-                driver_obs.bump(Counter::Pushes);
-            }
-            let _ = front.drain_prefetches();
+            release(&g, &mut sources, None, &driver_obs, &view);
         }
 
         let mut admitted: Vec<Option<Vec<TaskId>>> = Vec::with_capacity(stream.len());
@@ -442,10 +443,12 @@ impl Runtime {
                 let loads = &loads;
                 let unified = &unified;
                 let cache = &cache;
-                let cache_complete = &cache_complete;
+                let release = &release;
                 scope.spawn(move || {
                     let arch = platform.worker(w).arch;
                     let class = platform.arch(arch).class;
+                    // Successors released by one completion (reused).
+                    let mut ready: Vec<TaskId> = Vec::new();
                     loop {
                         // Epoch before the exit check and pop: the same
                         // missed-wake protocol as the batch engine.
@@ -607,18 +610,15 @@ impl Runtime {
                                 }
                             }
                             g.done[t.index()].store(true, Ordering::Release);
+                            ready.clear();
                             for &succ in g.stf.graph().succs(t) {
                                 if g.indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
                                     g.ready_at[succ.index()]
                                         .store(t_end.to_bits(), Ordering::Relaxed);
-                                    if cache_complete(&g, succ, Some(w), obs) {
-                                        continue;
-                                    }
-                                    front.push(succ, Some(w), &view);
-                                    obs.bump(Counter::Pushes);
+                                    ready.push(succ);
                                 }
                             }
-                            let _ = front.drain_prefetches();
+                            release(&g, &mut ready, Some(w), obs, &view);
                             let ti = g.tenant_of[t.index()] as usize;
                             tenant_in_flight[ti].fetch_sub(1, Ordering::AcqRel);
                             tenant_completed[ti].fetch_add(1, Ordering::AcqRel);
@@ -746,19 +746,12 @@ impl Runtime {
                 // Snapshot the sources before probing: a cache hit
                 // cascade completes successors in place, and those must
                 // not be re-seen by this scan.
-                let sources: Vec<TaskId> = ids
+                let mut sources: Vec<TaskId> = ids
                     .iter()
                     .copied()
                     .filter(|t| g.indeg[t.index()].load(Ordering::Relaxed) == 0)
                     .collect();
-                for t in sources {
-                    if cache_complete(&g, t, None, &driver_obs) {
-                        continue;
-                    }
-                    front.push(t, None, &view);
-                    driver_obs.bump(Counter::Pushes);
-                }
-                let _ = front.drain_prefetches();
+                release(&g, &mut sources, None, &driver_obs, &view);
                 drop(g);
                 admitted.push(Some(ids));
                 wake.notify();
@@ -1006,6 +999,35 @@ mod tests {
         );
         assert_eq!(rt.buffer(r0)[0], 7.0);
         assert_eq!(rt.buffer(r1)[0], 7.0);
+    }
+
+    /// The same accounting with a wide identical fan-out: each
+    /// submission's 32 readers share one cache key, so a release loop
+    /// that pushed one reader before probing the next would let a fast
+    /// worker populate the entry and turn later siblings into hits.
+    #[test]
+    fn warm_resubmission_with_wide_identical_fan_out_counts_exactly() {
+        const WIDTH: usize = 32;
+        let mut rt = Runtime::new(homogeneous(8), model());
+        rt.set_cache(Arc::new(mp_cache::ResultCache::new()));
+        let roots: Vec<DataId> = (0..4)
+            .map(|i| rt.register(vec![0.0], &format!("root{i}")))
+            .collect();
+        let cfg = StreamConfig::new(TenantSpec::equal(2));
+        let stream: Vec<Submission> = (0..40)
+            .map(|i| warm_sub(i % 2, roots[i % 4], WIDTH))
+            .collect();
+        let report = rt
+            .serve(Box::new(EagerPrioScheduler::new()), &cfg, stream)
+            .expect("serve failed");
+        assert!(report.is_complete(), "{:?}", report.error);
+        let per_sub = 1 + WIDTH as u64;
+        assert_eq!(report.tasks_completed as u64, 40 * per_sub);
+        // One cold round per root, every reader of it included.
+        assert_eq!(report.cache_misses, 4 * per_sub);
+        assert_eq!(report.cache_hits, 36 * per_sub);
+        assert_eq!(report.trace.tasks.len() as u64, 4 * per_sub);
+        assert_eq!(report.counters.tenant_cache_hits, vec![18 * per_sub; 2]);
     }
 
     #[test]
