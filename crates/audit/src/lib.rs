@@ -47,7 +47,8 @@ use std::sync::Arc;
 use mp_dag::TaskGraph;
 use mp_perfmodel::PerfModel;
 use mp_platform::types::Platform;
-use mp_runtime::{FaultPlan, RelaxedSeqScheduler, RetryPolicy};
+use mp_runtime::{FaultPlan, RelaxedMultiQueue, RelaxedSeqScheduler, RetryPolicy};
+use mp_sched::concurrent::ShardedAdapter;
 use mp_sched::Scheduler;
 use mp_sim::{simulate, SimConfig};
 
@@ -69,8 +70,7 @@ pub struct DiffConfig {
     pub sim_cfg: SimConfig,
     /// Runtime front-end: `0` drives the scheduler behind the global
     /// lock ([`mp_runtime::Runtime::run`]); `n > 0` uses the sharded
-    /// multi-queue with `n` policy instances
-    /// ([`mp_runtime::Runtime::run_sharded`]).
+    /// multi-queue with `n` policy instances ([`ShardedAdapter`]).
     pub shards: usize,
     /// Fault plan injected into both sides (`None` = no faults). The
     /// runtime honors every knob; the simulator mirrors the
@@ -84,7 +84,7 @@ pub struct DiffConfig {
     /// precedence still holds exactly.
     pub retry: RetryPolicy,
     /// Relaxed-mode override: drive the runtime through the relaxed
-    /// multi-queue front-end ([`mp_runtime::Runtime::run_relaxed`]) and
+    /// multi-queue front-end ([`RelaxedMultiQueue`]) and
     /// the simulator through its deterministic sequential twin
     /// ([`RelaxedSeqScheduler`]), both under this configuration.
     /// `factory` is ignored — the relaxed front-end *is* the policy
@@ -164,17 +164,19 @@ pub fn differential(
         rt.set_faults(plan);
     }
     rt.set_retry_policy(cfg.retry);
+    let mut runtime_rank = None;
     let run = if let Some(rc) = cfg.relaxed {
-        rt.run_relaxed(rc)
+        let front = RelaxedMultiQueue::new(platform.worker_count(), rc);
+        let run = rt.run_concurrent(&front);
+        runtime_rank = front.rank_stats();
+        run
     } else if cfg.shards == 0 {
         rt.run(factory())
     } else {
-        rt.run_sharded(cfg.shards, factory)
+        rt.run_concurrent(&ShardedAdapter::new(cfg.shards, factory))
     };
-    let mut runtime_rank = None;
     let runtime_makespan = match run {
         Ok(report) => {
-            runtime_rank = report.rank.clone();
             // Mid-run failures (misrouted task, panicking kernel) come
             // back as a report carrying the error and a partial trace.
             if let Some(err) = &report.error {
@@ -287,7 +289,7 @@ pub fn warm_cold_audit_with_cache(
         let run = if cfg.shards == 0 {
             rt.run(factory())
         } else {
-            rt.run_sharded(cfg.shards, factory)
+            rt.run_concurrent(&ShardedAdapter::new(cfg.shards, factory))
         };
         match run {
             Ok(report) => {

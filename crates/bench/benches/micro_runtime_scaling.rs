@@ -22,6 +22,7 @@ use mp_perfmodel::{PerfModel, TableModel, TimeFn};
 use mp_platform::presets::homogeneous;
 use mp_platform::types::ArchClass;
 use mp_runtime::{Runtime, TaskBuilder};
+use mp_sched::concurrent::ShardedAdapter;
 
 /// Independent chains of cheap kernels: `chains × depth` tasks, each a
 /// handful of float ops. Chains give the pushes a `releaser` (exercising
@@ -72,7 +73,8 @@ fn bench_scaling(c: &mut Criterion) {
             let mut rt = cheap_workload(workers);
             let factory = make_scheduler_factory("fifo");
             b.iter(|| {
-                let r = rt.run_sharded(workers, &*factory).expect("run failed");
+                let front = ShardedAdapter::new(workers, &*factory);
+                let r = rt.run_concurrent(&front).expect("run failed");
                 std::hint::black_box(r.makespan_us)
             })
         });

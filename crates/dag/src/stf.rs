@@ -98,9 +98,12 @@ impl StfBuilder {
             let a = self.graph.task(t).accesses[i];
             let flow = &mut self.flows[a.data.index()];
             if a.mode.reads() {
-                // RAW: depend on the last producer of the value we read.
+                // RAW: depend on the last producer of the value we read
+                // (unless that is this task, through an earlier access).
                 if let Some(w) = flow.last_writer {
-                    self.graph.add_edge(w, t);
+                    if w != t {
+                        self.graph.add_edge(w, t);
+                    }
                 }
             }
             if a.mode.writes() {
@@ -401,6 +404,24 @@ mod tests {
         assert!(g.preds(w1).contains(&w0));
     }
 
+    /// A task may name one handle twice; writing it and then reading it
+    /// back is not a dependency on itself.
+    #[test]
+    fn repeated_handle_within_a_task_is_not_a_self_dependency() {
+        let (mut stf, k, a, _) = setup();
+        let w0 = stf.submit(k, vec![(a, AccessMode::Write)], 0.0, "w0");
+        let t = stf.submit(
+            k,
+            vec![(a, AccessMode::Write), (a, AccessMode::Read)],
+            0.0,
+            "t",
+        );
+        let r = stf.submit(k, vec![(a, AccessMode::Read)], 0.0, "r");
+        let g = stf.finish();
+        assert_eq!(g.preds(t), &[w0]);
+        assert_eq!(g.preds(r), &[t]);
+    }
+
     #[test]
     fn waw_dependency_without_readers() {
         let (mut stf, k, a, _) = setup();
@@ -681,7 +702,115 @@ mod proptests {
         }
     }
 
+    /// One chunk of a staged program: its kind and its tasks' accesses.
+    type Chunk = (u8, Vec<Vec<(u8, u8)>>);
+
+    /// A random staged STF program: chunks of tasks, each submitted
+    /// directly (kind 0), through a committed stage (kind 1) or through a
+    /// stage that is dropped (kind 2). A task's accesses may repeat a
+    /// handle.
+    fn staged_programs() -> impl Strategy<Value = Vec<Chunk>> {
+        let task = proptest::collection::vec((0u8..5, 0u8..3), 1..4);
+        proptest::collection::vec((0u8..3, proptest::collection::vec(task, 1..5)), 1..15)
+    }
+
+    /// Forward transitive closure of a relation whose pairs `(i, j)`
+    /// all have `i < j`: `reach[i][j]` iff a path leads from `i` to `j`.
+    fn closure(n: usize, related: impl Fn(usize, usize) -> bool) -> Vec<Vec<bool>> {
+        let mut reach = vec![vec![false; n]; n];
+        for i in (0..n).rev() {
+            for j in i + 1..n {
+                if related(i, j) {
+                    reach[i][j] = true;
+                    let (head, tail) = reach.split_at_mut(j);
+                    for (r, &via) in head[i].iter_mut().zip(&tail[0]) {
+                        *r |= via;
+                    }
+                }
+            }
+        }
+        reach
+    }
+
     proptest! {
+        /// STF ingest oracle: for a random program — repeated handles
+        /// within a task, some stages discarded — the reachability of the
+        /// built DAG equals the transitive closure of the brute-force
+        /// conflict relation over the committed tasks: `i < j` conflict
+        /// iff they access a common handle and at least one of them
+        /// writes it (RAW, WAR or WAW). Every edge must be a needed
+        /// ordering, and every needed ordering must be implied.
+        #[test]
+        fn prop_stf_reachability_matches_conflict_closure(prog in staged_programs()) {
+            let mut stf = StfBuilder::new();
+            let k = stf.graph_mut().register_type("K", true, true);
+            let handles: Vec<DataId> =
+                (0..5).map(|i| stf.graph_mut().add_data(8, format!("d{i}"))).collect();
+            // Per committed task: (handle, reads, writes) folded over its
+            // accesses, in task-id order.
+            let mut committed: Vec<Vec<(DataId, bool, bool)>> = Vec::new();
+            for (kind, tasks) in &prog {
+                let accs: Vec<Vec<(DataId, AccessMode)>> = tasks
+                    .iter()
+                    .map(|t| t.iter().map(|&(d, m)| (handles[d as usize], mode(m))).collect())
+                    .collect();
+                match kind {
+                    0 => {
+                        for a in &accs {
+                            stf.submit(k, a.clone(), 1.0, "direct");
+                        }
+                    }
+                    _ => {
+                        let mut stage = stf.begin_submission();
+                        for a in &accs {
+                            stage.submit(k, a.clone(), 1.0, "staged");
+                        }
+                        if *kind == 2 {
+                            drop(stage);
+                            continue;
+                        }
+                        stage.commit();
+                    }
+                }
+                for a in accs {
+                    let mut folded: Vec<(DataId, bool, bool)> = Vec::new();
+                    for (d, m) in a {
+                        match folded.iter_mut().find(|(x, _, _)| *x == d) {
+                            Some(f) => {
+                                f.1 |= m.reads();
+                                f.2 |= m.writes();
+                            }
+                            None => folded.push((d, m.reads(), m.writes())),
+                        }
+                    }
+                    committed.push(folded);
+                }
+            }
+            let g = stf.finish();
+            let n = committed.len();
+            prop_assert_eq!(g.task_count(), n);
+            prop_assert!(g.validate_acyclic().is_ok());
+            let conflict = |i: usize, j: usize| {
+                committed[i].iter().any(|&(d, _, wi)| {
+                    committed[j].iter().any(|&(e, _, wj)| d == e && (wi || wj))
+                })
+            };
+            let want = closure(n, conflict);
+            let got = closure(n, |i, j| {
+                g.preds(TaskId::from_index(j)).contains(&TaskId::from_index(i))
+            });
+            for i in 0..n {
+                for j in i + 1..n {
+                    prop_assert!(
+                        got[i][j] == want[i][j],
+                        "t{i} -> t{j}: DAG reach {} but conflict closure {}",
+                        got[i][j],
+                        want[i][j]
+                    );
+                }
+            }
+        }
+
         /// For every random program: the graph is acyclic, edges point
         /// forward, and sequential-consistency holds — replaying tasks in
         /// submission order, every read of a handle observes the version

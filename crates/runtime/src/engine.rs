@@ -1,10 +1,20 @@
 //! The threaded execution engine.
 //!
-//! Workers drive a [`ConcurrentScheduler`] front-end directly — either
-//! the [`GlobalLock`] baseline (one mutex around the policy, what
-//! [`Runtime::run`] uses) or the sharded multi-queue
-//! ([`Runtime::run_sharded`]). Idle workers park on an eventcount-style
-//! [`WakeEpoch`]: every push and every completion bumps an epoch and
+//! One worker loop serves every submission mode. A batch run
+//! ([`Runtime::run_concurrent`]) is a stream whose driver closes at
+//! once: every submitted task is pre-admitted tenant-0 work. Streaming
+//! ([`Runtime::serve_concurrent`]) is the same core plus an admission
+//! driver on the calling thread (see [`crate::serve`]), so both modes
+//! share fault injection, retries, the result cache and the counters.
+//!
+//! Workers drive a [`ConcurrentScheduler`] front-end directly — the
+//! [`GlobalLock`] baseline ([`Runtime::run`]), the sharded multi-queue
+//! or the relaxed multi-queue. Graph-coupled state lives behind one
+//! `RwLock`: a worker takes two read guards per executed task (pop +
+//! estimate + start, then completion + release), the driver commits
+//! each admitted submission under the write guard, and kernels run
+//! outside both. Idle workers park on an eventcount-style
+//! `WakeEpoch`: every push and every completion bumps an epoch and
 //! notifies, and a worker that read the epoch *before* its failed pop
 //! cannot miss a wakeup that raced with it. The only timed sleep left is
 //! a short bounded re-poll when the scheduler holds tasks back
@@ -12,22 +22,23 @@
 //! condition waiting out a busy best-worker).
 
 use std::collections::HashMap;
+use std::mem;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use mp_cache::{CacheEntry, Lookup, ResultCache};
+use mp_cache::{CacheEntry, Lookup, PersistStats, ResultCache};
 use mp_dag::access::AccessMode;
 use mp_dag::hash;
 use mp_dag::ids::{DataId, TaskId};
 use mp_dag::stf::StfBuilder;
+use mp_dag::task::{Access, Task};
 use mp_dag::TaskGraph;
 use mp_perfmodel::{DeltaEstimate, Estimator, FallbackWarnings, PerfModel};
-use mp_platform::types::{ArchClass, MemNodeId, Platform, WorkerId};
+use mp_platform::types::{ArchClass, ArchId, MemNodeId, Platform, WorkerId};
 use mp_sched::api::{DataLocator, LoadInfo, SchedEvent, SchedView, Scheduler};
-use mp_sched::concurrent::{
-    ConcurrentScheduler, GlobalLock, RelaxedConfig, RelaxedMultiQueue, ShardedAdapter,
-};
+use mp_sched::concurrent::{ConcurrentScheduler, GlobalLock};
 use mp_trace::obs::obs_enabled;
 use mp_trace::{
     Counter, CounterSnapshot, ObsCell, RuntimeEvent, RuntimeEventKind, TaskSpan, Trace,
@@ -98,10 +109,56 @@ impl TaskBuilder {
         self.label = l.into();
         self
     }
+
+    /// Whether the task implements the CPU and the GPU class.
+    pub(crate) fn impl_classes(&self) -> (bool, bool) {
+        (
+            self.impls.contains_key(&ArchClass::Cpu),
+            self.impls.contains_key(&ArchClass::Gpu),
+        )
+    }
+
+    /// The trace label, defaulting to the kernel type.
+    pub(crate) fn label_or_type(&self) -> String {
+        if self.label.is_empty() {
+            self.ttype.clone()
+        } else {
+            self.label.clone()
+        }
+    }
+
+    /// Why this task, submitted as `task`, could never run: its type was
+    /// first registered (`registered`, `None` for a new type) with other
+    /// implementation classes, or it implements none of `classes`.
+    pub(crate) fn unusable(
+        &self,
+        task: TaskId,
+        classes: &[ArchClass],
+        registered: Option<(bool, bool)>,
+    ) -> Option<RunError> {
+        if registered.is_some_and(|r| r != self.impl_classes()) {
+            return Some(RunError::ImplMismatch {
+                task,
+                ttype: self.ttype.clone(),
+            });
+        }
+        (!classes.iter().any(|c| self.impls.contains_key(c))).then(|| RunError::NoUsableImpl {
+            task,
+            label: self.label_or_type(),
+            platform_classes: classes.to_vec(),
+        })
+    }
+}
+
+/// Fold a buffer's length and f64 bit patterns into FNV-1a state `h`.
+fn fnv_buffer(h: u64, buf: &[f64]) -> u64 {
+    let h = (h ^ buf.len() as u64).wrapping_mul(hash::FNV_PRIME);
+    buf.iter()
+        .fold(h, |h, v| (h ^ v.to_bits()).wrapping_mul(hash::FNV_PRIME))
 }
 
 /// Unified-memory locality: every handle is resident everywhere.
-pub(crate) struct UnifiedMemory;
+struct UnifiedMemory;
 
 impl DataLocator for UnifiedMemory {
     fn is_on(&self, _d: DataId, _m: MemNodeId) -> bool {
@@ -114,14 +171,14 @@ impl DataLocator for UnifiedMemory {
 }
 
 /// Lock-free busy-until table (µs since run start, f64 bits).
-pub(crate) struct AtomicLoads(Vec<AtomicU64>);
+struct AtomicLoads(Vec<AtomicU64>);
 
 impl AtomicLoads {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Self((0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect())
     }
 
-    pub(crate) fn set(&self, w: WorkerId, v: f64) {
+    fn set(&self, w: WorkerId, v: f64) {
         self.0[w.index()].store(v.to_bits(), Ordering::Relaxed);
     }
 }
@@ -140,7 +197,7 @@ impl LoadInfo for AtomicLoads {
 /// [`Self::notify`], which bumps the epoch *before* taking the mutex, so
 /// the pair (read epoch → pop → wait) can never sleep through a push or
 /// completion that happened after the epoch read.
-pub(crate) struct WakeEpoch {
+struct WakeEpoch {
     epoch: AtomicU64,
     /// Workers inside [`Self::wait`]; lets [`Self::notify`] skip the
     /// mutex on the (hot) nobody-parked path.
@@ -150,7 +207,7 @@ pub(crate) struct WakeEpoch {
 }
 
 impl WakeEpoch {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             epoch: AtomicU64::new(0),
             waiters: AtomicUsize::new(0),
@@ -159,11 +216,11 @@ impl WakeEpoch {
         }
     }
 
-    pub(crate) fn current(&self) -> u64 {
+    fn current(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn notify(&self) {
+    fn notify(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         // SeqCst pairs with the waiter's increment-then-recheck: either
         // the waiter's re-check sees the new epoch, or this load sees the
@@ -179,7 +236,7 @@ impl WakeEpoch {
 
     /// Park until the epoch differs from `seen` (or `bound` elapses, or a
     /// spurious wakeup — callers re-poll in a loop either way).
-    pub(crate) fn wait(&self, seen: u64, bound: Option<Duration>) {
+    fn wait(&self, seen: u64, bound: Option<Duration>) {
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let g = self.lock.lock().expect("wake lock poisoned");
         if self.epoch.load(Ordering::SeqCst) == seen {
@@ -195,9 +252,9 @@ impl WakeEpoch {
 /// Bounded park when the scheduler holds work back: MultiPrio's pop
 /// condition compares against wall-clock `busy_until`, so a held-back
 /// task becomes poppable by time passing alone — no event fires.
-pub(crate) const HOLDBACK_REPOLL: Duration = Duration::from_micros(200);
+const HOLDBACK_REPOLL: Duration = Duration::from_micros(200);
 
-/// Typed failure of [`Runtime::run`].
+/// Typed failure of [`Runtime::run`] and [`Runtime::serve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// A submitted task has no implementation for any architecture class
@@ -210,6 +267,26 @@ pub enum RunError {
         label: String,
         /// Architecture classes present on the platform.
         platform_classes: Vec<ArchClass>,
+    },
+    /// A task re-registered its task type with other implementation
+    /// classes than the type's first registration. Detected at submit
+    /// time (or before a stream starts), reported when the run starts.
+    ImplMismatch {
+        /// The offending task.
+        task: TaskId,
+        /// Its task type.
+        ttype: String,
+    },
+    /// A stream was served with an empty tenant list.
+    NoTenants,
+    /// A streamed submission names a tenant the config does not have.
+    UnknownTenant {
+        /// Index of the submission in the stream.
+        submission: usize,
+        /// The tenant it names.
+        tenant: usize,
+        /// Number of tenants in the config.
+        tenants: usize,
     },
     /// The scheduler handed a task to a worker whose architecture class
     /// has no implementation of it (a policy bug — the run is aborted).
@@ -257,6 +334,19 @@ impl std::fmt::Display for RunError {
                 "task {task:?} ('{label}') has no implementation for any platform \
                  arch class ({platform_classes:?})"
             ),
+            RunError::ImplMismatch { task, ttype } => write!(
+                f,
+                "task {task:?} re-registers type '{ttype}' with different implementations"
+            ),
+            RunError::NoTenants => write!(f, "serving needs at least one tenant"),
+            RunError::UnknownTenant {
+                submission,
+                tenant,
+                tenants,
+            } => write!(
+                f,
+                "submission {submission} names tenant {tenant} of {tenants}"
+            ),
             RunError::MissingKernel { task, class } => write!(
                 f,
                 "scheduler sent {task:?} to a {class:?} worker without an implementation"
@@ -294,8 +384,7 @@ pub struct RunReport {
     /// Why the run stopped early, if it did. `None` means every task
     /// executed. Mid-run failures (a misrouted task, a panicking
     /// kernel) land here with the partial trace preserved; only
-    /// submit-time [`RunError::NoUsableImpl`] makes
-    /// [`Runtime::run`] return `Err`.
+    /// submit-time errors make [`Runtime::run`] return `Err`.
     pub error: Option<RunError>,
     /// Scheduler/engine observability counters, merged at quiesce.
     /// All-zero unless built with `--features obs`.
@@ -303,10 +392,6 @@ pub struct RunReport {
     /// Worker park/wake timeline. Empty unless built with
     /// `--features obs`.
     pub events: Vec<RuntimeEvent>,
-    /// Rank-error statistics against the exact-priority oracle. `Some`
-    /// only for [`Runtime::run_relaxed`] with
-    /// [`RelaxedConfig::track_rank`] set.
-    pub rank: Option<mp_trace::RankStats>,
 }
 
 impl RunReport {
@@ -319,11 +404,13 @@ impl RunReport {
 /// The runtime: buffers + submitted tasks, executed by [`Runtime::run`].
 pub struct Runtime {
     pub(crate) platform: Platform,
+    /// Architecture classes with at least one worker on the platform.
+    pub(crate) classes: Vec<ArchClass>,
     pub(crate) model: Arc<dyn PerfModel>,
     pub(crate) stf: StfBuilder,
     pub(crate) buffers: Vec<RwLock<Vec<f64>>>,
     pub(crate) impls: Vec<HashMap<ArchClass, KernelFn>>,
-    /// First impl-coverage violation found at submit time; reported by
+    /// First unusable task found at submit time; reported by
     /// [`Runtime::run`] before any thread spawns.
     pub(crate) submit_error: Option<RunError>,
     /// Fault-injection plan applied by the next run (`None` = no faults).
@@ -344,8 +431,15 @@ impl Runtime {
     /// New runtime on `platform` with performance model `model` (wrap a
     /// `HistoryModel` to get online calibration from measured times).
     pub fn new(platform: Platform, model: Arc<dyn PerfModel>) -> Self {
+        let mut classes = Vec::new();
+        for a in platform.archs() {
+            if !classes.contains(&a.class) {
+                classes.push(a.class);
+            }
+        }
         Self {
             platform,
+            classes,
             model,
             stf: StfBuilder::new(),
             buffers: Vec::new(),
@@ -374,25 +468,18 @@ impl Runtime {
     /// e.g. after a cold run and after a warm all-hit re-run — produce
     /// equal digests; any payload corruption shows up here.
     pub fn buffers_digest(&self) -> u64 {
-        let mut h = hash::FNV_OFFSET;
-        for b in &self.buffers {
-            let buf = b.read().expect("buffer poisoned");
-            h ^= buf.len() as u64;
-            h = h.wrapping_mul(hash::FNV_PRIME);
-            for v in buf.iter() {
-                h ^= v.to_bits();
-                h = h.wrapping_mul(hash::FNV_PRIME);
-            }
-        }
-        h
+        self.buffers.iter().fold(hash::FNV_OFFSET, |h, b| {
+            fnv_buffer(h, &b.read().expect("buffer poisoned"))
+        })
     }
 
-    /// Apply a [`FaultPlan`] to every subsequent run: deterministic slow
-    /// and stalled kernels, skewed model estimates, delayed wakeups —
-    /// plus worker kills after a fixed completion count and per-attempt
-    /// transient execution failures. Used by the validation harness to
-    /// prove effectively-once execution and termination under
-    /// adversarial timing; timing faults have no effect on results.
+    /// Apply a [`FaultPlan`] to every subsequent run or stream:
+    /// deterministic slow and stalled kernels, skewed model estimates,
+    /// delayed wakeups — plus worker kills after a fixed completion
+    /// count and per-attempt transient execution failures. Used by the
+    /// validation harness to prove effectively-once execution and
+    /// termination under adversarial timing; timing faults have no
+    /// effect on results.
     pub fn set_faults(&mut self, plan: FaultPlan) {
         self.faults = (!plan.is_noop()).then_some(plan);
     }
@@ -414,62 +501,43 @@ impl Runtime {
     pub fn register(&mut self, data: Vec<f64>, label: &str) -> DataId {
         let bytes = (data.len() * 8) as u64;
         let id = self.stf.graph_mut().add_data(bytes, label);
-        let mut h = hash::FNV_OFFSET;
-        h ^= data.len() as u64;
-        h = h.wrapping_mul(hash::FNV_PRIME);
-        for v in &data {
-            h ^= v.to_bits();
-            h = h.wrapping_mul(hash::FNV_PRIME);
-        }
+        let h = fnv_buffer(hash::FNV_OFFSET, &data);
         self.stf.set_data_version(id, hash::mix64(h));
         self.buffers.push(RwLock::new(data));
         debug_assert_eq!(id.index() + 1, self.buffers.len());
         id
     }
 
-    /// Architecture classes with at least one worker on this platform.
-    fn platform_classes(&self) -> Vec<ArchClass> {
-        let mut classes = Vec::new();
-        for a in self.platform.archs() {
-            if !classes.contains(&a.class) {
-                classes.push(a.class);
-            }
-        }
-        classes
-    }
-
     /// Submit a task; dependencies on earlier submissions are inferred
-    /// from the declared accesses (STF). Implementation coverage is
-    /// checked against the platform's architecture classes here; a task
-    /// no worker could ever execute makes the eventual [`Self::run`]
-    /// return [`RunError::NoUsableImpl`] instead of deadlocking or
-    /// panicking inside a worker thread.
+    /// from the declared accesses (STF). A task no worker could ever
+    /// execute (no implementation for any platform class), or one that
+    /// re-registers its type with other implementation classes, makes
+    /// the eventual [`Self::run`] return [`RunError::NoUsableImpl`] or
+    /// [`RunError::ImplMismatch`] instead of deadlocking or panicking.
     pub fn submit(&mut self, tb: TaskBuilder) -> TaskId {
-        assert!(
-            !tb.impls.is_empty(),
-            "task '{}' has no implementation",
-            tb.ttype
+        let graph = self.stf.graph_mut();
+        let known = graph.type_id(&tb.ttype);
+        let registered = known.map(|id| {
+            let ty = graph.task_type(id);
+            (ty.cpu_impl, ty.gpu_impl)
+        });
+        let err = tb.unusable(
+            TaskId::from_index(graph.task_count()),
+            &self.classes,
+            registered,
         );
-        let ttype = self.stf.graph_mut().register_type(
-            &tb.ttype,
-            tb.impls.contains_key(&ArchClass::Cpu),
-            tb.impls.contains_key(&ArchClass::Gpu),
-        );
-        let label = if tb.label.is_empty() {
-            tb.ttype.clone()
-        } else {
-            tb.label.clone()
-        };
+        // A mismatched re-registration keeps the type's first
+        // registration: the run is refused anyway.
+        let ttype = known.unwrap_or_else(|| {
+            let (cpu, gpu) = tb.impl_classes();
+            graph.register_type(&tb.ttype, cpu, gpu)
+        });
+        let label = tb.label_or_type();
         let t = self
             .stf
-            .submit_prio(ttype, tb.accesses, tb.flops, tb.priority, label.clone());
-        let classes = self.platform_classes();
-        if self.submit_error.is_none() && !classes.iter().any(|c| tb.impls.contains_key(c)) {
-            self.submit_error = Some(RunError::NoUsableImpl {
-                task: t,
-                label,
-                platform_classes: classes,
-            });
+            .submit_prio(ttype, tb.accesses, tb.flops, tb.priority, label);
+        if self.submit_error.is_none() {
+            self.submit_error = err;
         }
         self.impls.push(tb.impls);
         debug_assert_eq!(t.index() + 1, self.impls.len());
@@ -497,37 +565,11 @@ impl Runtime {
         self.run_concurrent(&front)
     }
 
-    /// Execute under a sharded multi-queue front-end: `shards` policy
-    /// instances built by `factory`, per-worker routing and randomized
-    /// two-choice stealing (see [`ShardedAdapter`]). Stateful policies
-    /// should share score state across the instances the factory builds
-    /// (e.g. `MultiPrioScheduler::with_shared_gain`).
-    pub fn run_sharded(
-        &mut self,
-        shards: usize,
-        factory: &dyn Fn() -> Box<dyn Scheduler>,
-    ) -> Result<RunReport, RunError> {
-        let front = ShardedAdapter::new(shards, factory);
-        self.run_concurrent(&front)
-    }
-
-    /// Execute under the relaxed multi-queue front-end
-    /// ([`RelaxedMultiQueue`]): `cfg.queues_per_worker · workers`
-    /// try-locked sequential queues with two-choice pops over published
-    /// score tops. Ordering is *relaxed* — a pop may return a task that
-    /// is not the current global best — with the bounded rank error
-    /// measurable via [`RelaxedConfig::track_rank`] (reported on
-    /// [`RunReport::rank`]). The policy order is `prio`: descending user
-    /// priority, FIFO within a level.
-    pub fn run_relaxed(&mut self, cfg: RelaxedConfig) -> Result<RunReport, RunError> {
-        let front = RelaxedMultiQueue::new(self.platform.worker_count(), cfg);
-        let mut report = self.run_concurrent(&front)?;
-        report.rank = front.rank_stats();
-        Ok(report)
-    }
-
     /// Execute every submitted task by driving `front` from one thread
-    /// per platform worker.
+    /// per platform worker: any [`ConcurrentScheduler`] — the global
+    /// lock, the sharded multi-queue (`ShardedAdapter`) or the relaxed
+    /// multi-queue (`RelaxedMultiQueue`, whose rank-error statistics
+    /// `rank_stats()` reads after the run).
     pub fn run_concurrent(
         &mut self,
         front: &dyn ConcurrentScheduler,
@@ -535,605 +577,754 @@ impl Runtime {
         if let Some(err) = self.submit_error.clone() {
             return Err(err);
         }
-        let graph = self.stf.graph().clone();
-        let n = graph.task_count();
+        Ok(self.execute(front, 1, |_, _| ()).0.report)
+    }
+
+    /// Execute on one thread per platform worker while `driver` runs on
+    /// the calling thread. Every task already submitted is pre-admitted
+    /// tenant-0 work; `driver` may admit more through [`Core::commit`]
+    /// until it returns, which closes the stream. Workers exit once the
+    /// stream is closed and every admitted task completed, or on abort.
+    /// The graph and kernel table move into the core for the run and
+    /// back out afterwards, so `graph()`/`buffer()` keep working and a
+    /// later run re-executes everything submitted or streamed so far.
+    pub(crate) fn execute<R>(
+        &mut self,
+        front: &dyn ConcurrentScheduler,
+        tenants: usize,
+        driver: impl FnOnce(&Core<'_>, &ObsCell) -> R,
+    ) -> (Outcome, R) {
         let nw = self.platform.worker_count();
-        let platform = &self.platform;
         let faults = self.faults.unwrap_or_default();
-        let retry = self.retry;
-        let kills_on = faults.kills_any();
-        let transients_on = faults.transient_fail_prob > 0.0;
         // Estimate skew wraps the model; measured feedback still reaches
         // the real model underneath.
-        let skewed: Option<SkewedModel> = (faults.estimate_skew > 0.0)
+        let skewed = (faults.estimate_skew > 0.0)
             .then(|| SkewedModel::new(Arc::clone(&self.model), faults.estimate_skew, faults.seed));
-        let model: &dyn PerfModel = match &skewed {
-            Some(s) => s,
-            None => &*self.model,
+        let cache = self.cache.as_deref();
+        // The shared cache outlives runs: this run's evictions and
+        // persist traffic are deltas over its lifetime counters.
+        let evictions_at_start = cache.map_or(0, ResultCache::evictions);
+        let persist_at_start = cache.map(ResultCache::persist_stats).unwrap_or_default();
+        let pre = self.stf.graph().task_count();
+        let ledger = || (0..tenants).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+        let core = Core {
+            shared: RwLock::new(Shared {
+                stf: mem::replace(&mut self.stf, StfBuilder::new()),
+                impls: mem::take(&mut self.impls),
+                indeg: Vec::with_capacity(pre),
+                done: Vec::with_capacity(pre),
+                ready_at: Vec::with_capacity(pre),
+                attempts: Vec::with_capacity(pre),
+                tenant_of: Vec::with_capacity(pre),
+            }),
+            platform: &self.platform,
+            model: match &skewed {
+                Some(s) => s,
+                None => &*self.model,
+            },
+            buffers: &self.buffers,
+            front,
+            cache,
+            warned: &self.warned,
+            faults,
+            retry: self.retry,
+            start: Instant::now(),
+            loads: AtomicLoads::new(nw),
+            wake: WakeEpoch::new(),
+            closed: AtomicBool::new(false),
+            abort: AtomicBool::new(false),
+            error: Mutex::new(None),
+            admitted: AtomicUsize::new(0),
+            completed: AtomicUsize::new(0),
+            alive: (0..nw).map(|_| AtomicBool::new(true)).collect(),
+            classes: (0..nw)
+                .map(|wi| {
+                    let a = self.platform.worker(WorkerId::from_index(wi)).arch;
+                    self.platform.arch(a).class
+                })
+                .collect(),
+            tenant_in_flight: (0..tenants).map(|_| AtomicUsize::new(0)).collect(),
+            tenant_admitted: ledger(),
+            tenant_completed: ledger(),
+            tenant_cache_hits: ledger(),
+            cache_hits: AtomicU64::new(0),
+            cache_misses: AtomicU64::new(0),
+            spans: Mutex::new(Vec::new()),
+            events: Mutex::new(Vec::new()),
         };
-        let buffers = &self.buffers;
-        let impls = &self.impls;
-        let sched_name = front.name();
+        // Per-worker observability cells (no-ops unless `--features
+        // obs`), plus the calling thread's last.
+        let cells: Vec<ObsCell> = (0..=nw).map(|_| ObsCell::new()).collect();
+        core.commit(&mut core.write(), 0..pre, 0, 0.0, &cells[nw]);
+        let result = std::thread::scope(|scope| {
+            for (wi, obs) in cells[..nw].iter().enumerate() {
+                let core = &core;
+                scope.spawn(move || {
+                    let _exit = ExitGuard {
+                        core,
+                        driver: false,
+                    };
+                    core.worker(wi, obs);
+                });
+            }
+            let _exit = ExitGuard {
+                core: &core,
+                driver: true,
+            };
+            driver(&core, &cells[nw])
+        });
+        let (shared, out) = core.into_outcome(&cells, evictions_at_start, persist_at_start);
+        self.stf = shared.stf;
+        self.impls = shared.impls;
+        (out, result)
+    }
+}
 
-        let loads = AtomicLoads::new(nw);
-        let unified = UnifiedMemory;
-        let start = Instant::now();
-        let now_us = || start.elapsed().as_secs_f64() * 1e6;
+/// Graph-coupled state of one execution. The calling thread grows it
+/// under the write guard (the initial commit, then each admitted
+/// submission); workers read it under read guards. Per-task vectors are
+/// indexed by task index and append-only; the atomics inside them are
+/// shared-mutable under read guards (concurrent completions), the
+/// `Vec`s themselves only change under the write guard.
+pub(crate) struct Shared {
+    pub(crate) stf: StfBuilder,
+    pub(crate) impls: Vec<HashMap<ArchClass, KernelFn>>,
+    indeg: Vec<AtomicUsize>,
+    done: Vec<AtomicBool>,
+    ready_at: Vec<AtomicU64>,
+    attempts: Vec<AtomicU32>,
+    tenant_of: Vec<u32>,
+}
 
-        let wake = WakeEpoch::new();
-        let abort = AtomicBool::new(false);
-        let error: Mutex<Option<RunError>> = Mutex::new(None);
-        let completed = AtomicUsize::new(0);
-        let indeg: Vec<AtomicUsize> = (0..n)
-            .map(|i| AtomicUsize::new(graph.preds(TaskId::from_index(i)).len()))
+/// What one execution produced: a batch run's report, plus the
+/// admission and tenant tallies a stream reports.
+pub(crate) struct Outcome {
+    pub(crate) report: RunReport,
+    pub(crate) tasks_admitted: usize,
+    pub(crate) tasks_completed: usize,
+    pub(crate) cache_hits: u64,
+    pub(crate) cache_misses: u64,
+    pub(crate) tenant_admitted: Vec<u64>,
+    pub(crate) tenant_completed: Vec<u64>,
+    pub(crate) tenant_cache_hits: Vec<u64>,
+}
+
+/// One execution: the shared graph state plus everything the workers
+/// and the driver coordinate through.
+pub(crate) struct Core<'r> {
+    shared: RwLock<Shared>,
+    platform: &'r Platform,
+    model: &'r dyn PerfModel,
+    buffers: &'r [RwLock<Vec<f64>>],
+    front: &'r dyn ConcurrentScheduler,
+    cache: Option<&'r ResultCache>,
+    warned: &'r FallbackWarnings,
+    faults: FaultPlan,
+    retry: RetryPolicy,
+    start: Instant,
+    loads: AtomicLoads,
+    wake: WakeEpoch,
+    /// No further submission will be admitted: set when the driver
+    /// returns (at once for a batch run) or unwinds.
+    closed: AtomicBool,
+    abort: AtomicBool,
+    error: Mutex<Option<RunError>>,
+    admitted: AtomicUsize,
+    completed: AtomicUsize,
+    /// Worker liveness under kill faults (a worker dies between tasks).
+    alive: Vec<AtomicBool>,
+    classes: Vec<ArchClass>,
+    pub(crate) tenant_in_flight: Vec<AtomicUsize>,
+    tenant_admitted: Vec<AtomicU64>,
+    pub(crate) tenant_completed: Vec<AtomicU64>,
+    tenant_cache_hits: Vec<AtomicU64>,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    spans: Mutex<Vec<TaskSpan>>,
+    /// Park/wake, cache and fault timeline; only locked when obs is
+    /// compiled in.
+    events: Mutex<Vec<RuntimeEvent>>,
+}
+
+/// Wakes every parked worker when a worker or the driver exits. The
+/// driver's exit closes the stream, and an unwinding exit aborts the
+/// run: without this a panic on either side leaves the other threads
+/// parked forever and `thread::scope` never returns.
+struct ExitGuard<'c, 'r> {
+    core: &'c Core<'r>,
+    driver: bool,
+}
+
+impl Drop for ExitGuard<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.core.abort.store(true, Ordering::Release);
+        }
+        if self.driver {
+            self.core.closed.store(true, Ordering::Release);
+        }
+        self.core.wake.notify();
+    }
+}
+
+/// The handles `task` writes, deduplicated in first-write order: the
+/// order a cache payload stores them and a hit materializes them back.
+fn distinct_writes(task: &Task) -> Vec<DataId> {
+    let mut out = Vec::new();
+    for d in task.writes() {
+        if !out.contains(&d) {
+            out.push(d);
+        }
+    }
+    out
+}
+
+impl Core<'_> {
+    pub(crate) fn now_us(&self) -> f64 {
+        self.start.elapsed().as_secs_f64() * 1e6
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Shared> {
+        self.shared.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, Shared> {
+        self.shared.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn aborted(&self) -> bool {
+        self.abort.load(Ordering::Acquire)
+    }
+
+    /// Admitted tasks not completed yet. Workers only complete under
+    /// read guards, so the count is exact under the write guard.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.admitted.load(Ordering::Acquire) - self.completed.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn notify(&self) {
+        self.wake.notify();
+    }
+
+    fn view<'a>(&'a self, g: &'a Shared, now: f64) -> SchedView<'a> {
+        SchedView {
+            est: Estimator::new(g.stf.graph(), self.platform, self.model),
+            loc: &UnifiedMemory,
+            load: &self.loads,
+            now,
+        }
+    }
+
+    /// Record the run's first error and abort it.
+    fn fail(&self, err: RunError) {
+        let mut e = self.error.lock().unwrap_or_else(PoisonError::into_inner);
+        if e.is_none() {
+            *e = Some(err);
+        }
+        drop(e);
+        self.abort.store(true, Ordering::Release);
+        self.wake.notify();
+    }
+
+    fn event(&self, worker: usize, kind: RuntimeEventKind) {
+        if obs_enabled() {
+            let at = self.now_us();
+            let mut ev = self.events.lock().unwrap_or_else(PoisonError::into_inner);
+            ev.push(RuntimeEvent { worker, at, kind });
+        }
+    }
+
+    /// Admit tasks `ids` of `g`'s graph (their kernels already in
+    /// `g.impls`) as `tenant`'s work, ready from `now`, and release the
+    /// sources among them. A batch run commits everything at once before
+    /// any worker starts; the serving driver commits each admitted
+    /// submission under the write guard, so the indegree snapshot
+    /// (unfinished predecessors only) can never race a completion.
+    pub(crate) fn commit(
+        &self,
+        g: &mut Shared,
+        ids: Range<usize>,
+        tenant: usize,
+        now: f64,
+        obs: &ObsCell,
+    ) {
+        for i in ids.clone() {
+            let preds = g.stf.graph().preds(TaskId::from_index(i));
+            let open = preds
+                .iter()
+                .filter(|p| !g.done[p.index()].load(Ordering::Acquire))
+                .count();
+            g.indeg.push(AtomicUsize::new(open));
+            g.done.push(AtomicBool::new(false));
+            g.ready_at.push(AtomicU64::new(now.to_bits()));
+            g.attempts.push(AtomicU32::new(0));
+            g.tenant_of.push(tenant as u32);
+        }
+        let n = ids.len();
+        self.admitted.fetch_add(n, Ordering::AcqRel);
+        self.tenant_in_flight[tenant].fetch_add(n, Ordering::AcqRel);
+        self.tenant_admitted[tenant].fetch_add(n as u64, Ordering::AcqRel);
+        // A worker that died before this commit may have left nobody
+        // able to run one of these tasks.
+        if self.faults.kills_any() {
+            if let Some(task) = self.doomed(g, ids.clone()) {
+                self.fail(RunError::NoCapableWorker { task });
+                return;
+            }
+        }
+        // Snapshot the sources before probing: a cache hit completes in
+        // place and can drive successors' indegrees to zero, and those
+        // are released inside `release`.
+        let mut sources: Vec<TaskId> = ids
+            .map(TaskId::from_index)
+            .filter(|t| g.indeg[t.index()].load(Ordering::Relaxed) == 0)
             .collect();
-        let ready_at: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect();
-        let spans = Mutex::new(Vec::<TaskSpan>::new());
-        // --- Worker-failure state (dormant without kill/transient
-        // faults). A worker only dies *between* tasks — after its k-th
-        // completion, before the next pop — so a death never strands an
-        // in-flight task; queued work is re-routed by `worker_disabled`.
-        let alive: Vec<AtomicBool> = (0..nw).map(|_| AtomicBool::new(true)).collect();
-        let attempts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        let done_flags: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let worker_classes: Vec<ArchClass> = (0..nw)
-            .map(|wi| {
-                let a = platform.worker(WorkerId::from_index(wi)).arch;
-                platform.arch(a).class
+        self.release(g, &mut sources, None, obs, &self.view(g, now));
+    }
+
+    /// The first unfinished task in `range` that no surviving worker can
+    /// execute.
+    fn doomed(&self, g: &Shared, range: Range<usize>) -> Option<TaskId> {
+        range
+            .filter(|&i| !g.done[i].load(Ordering::Acquire))
+            .find(|&i| {
+                !self
+                    .alive
+                    .iter()
+                    .zip(&self.classes)
+                    .any(|(a, c)| a.load(Ordering::SeqCst) && g.impls[i].contains_key(c))
+            })
+            .map(TaskId::from_index)
+    }
+
+    /// Publish the completion of `t` at `now` — done flag, tenant
+    /// ledger, completion count — and hand every successor whose
+    /// indegree reaches zero to `on_ready`.
+    fn finish(&self, g: &Shared, t: TaskId, now: f64, mut on_ready: impl FnMut(TaskId)) {
+        g.done[t.index()].store(true, Ordering::Release);
+        for &succ in g.stf.graph().succs(t) {
+            if g.indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
+                g.ready_at[succ.index()].store(now.to_bits(), Ordering::Relaxed);
+                on_ready(succ);
+            }
+        }
+        let ti = g.tenant_of[t.index()] as usize;
+        self.tenant_in_flight[ti].fetch_sub(1, Ordering::AcqRel);
+        self.tenant_completed[ti].fetch_add(1, Ordering::AcqRel);
+        self.completed.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Release newly-ready tasks (DESIGN.md §12): `ready` holds tasks
+    /// whose indegree just reached zero; the misses among them are
+    /// pushed. With a result cache installed each one is probed first,
+    /// and a verified payload-carrying hit completes right here: the
+    /// memoized buffers are copied back under the write locks, the
+    /// completion is published, and the successors it releases are
+    /// probed in turn — the task never reaches the scheduler front, the
+    /// estimator, or a kernel. Every newly-ready task, cascade
+    /// included, is probed before any miss is pushed: identical ready
+    /// siblings share one cache key, and a miss pushed before its twin
+    /// was probed could run on another worker and populate the entry
+    /// first, turning the twin into a hit. Callers hold a `shared`
+    /// guard, so the graph cannot grow under the cascade, and a
+    /// released task's WAR/RAW edges guarantee no live reader or writer
+    /// of its written buffers. A task is probed exactly once (by its
+    /// unique releaser), so on a cached run `hits + misses == tasks`.
+    /// On return `ready` holds exactly the pushed tasks.
+    fn release(
+        &self,
+        g: &Shared,
+        ready: &mut Vec<TaskId>,
+        via: Option<WorkerId>,
+        obs: &ObsCell,
+        view: &SchedView<'_>,
+    ) {
+        if let Some(rc) = self.cache {
+            let lane = via.map_or(self.alive.len(), WorkerId::index);
+            let probe = |t: TaskId| -> Option<Arc<CacheEntry>> {
+                match g.stf.graph().cache_meta(t).map(|m| rc.lookup(m, true)) {
+                    Some(Lookup::Hit(e)) => return Some(e),
+                    Some(Lookup::Invalidated) => {
+                        obs.bump(Counter::CacheInvalidations);
+                        self.event(lane, RuntimeEventKind::CacheInvalidated);
+                    }
+                    _ => {}
+                }
+                obs.bump(Counter::CacheMisses);
+                self.cache_misses.fetch_add(1, Ordering::Relaxed);
+                None
+            };
+            let mut hits: Vec<(TaskId, Arc<CacheEntry>)> = Vec::new();
+            ready.retain(|&t| match probe(t) {
+                Some(e) => {
+                    hits.push((t, e));
+                    false
+                }
+                None => true,
+            });
+            let any_hit = !hits.is_empty();
+            while let Some((t, entry)) = hits.pop() {
+                let payload = entry
+                    .payload
+                    .as_ref()
+                    .expect("payload-less entry served to the runtime");
+                for (d, src) in distinct_writes(g.stf.graph().task(t))
+                    .into_iter()
+                    .zip(payload)
+                {
+                    let mut buf = self.buffers[d.index()].write().expect("buffer poisoned");
+                    buf.clear();
+                    buf.extend_from_slice(src);
+                }
+                obs.bump(Counter::CacheHits);
+                obs.add(Counter::BytesMaterialized, entry.bytes);
+                self.event(lane, RuntimeEventKind::CacheHit);
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.tenant_cache_hits[g.tenant_of[t.index()] as usize]
+                    .fetch_add(1, Ordering::Relaxed);
+                self.finish(g, t, self.now_us(), |succ| match probe(succ) {
+                    Some(e) => hits.push((succ, e)),
+                    None => ready.push(succ),
+                });
+            }
+            if any_hit {
+                self.wake.notify();
+            }
+        }
+        for &t in ready.iter() {
+            self.front.push(t, via, view);
+            obs.bump(Counter::Pushes);
+        }
+        let _ = self.front.drain_prefetches(); // unified memory: no-op
+    }
+
+    /// Populate the result cache with `t`'s written buffers, before its
+    /// successors are released and can re-write them.
+    fn populate(&self, g: &Shared, t: TaskId) {
+        let graph = g.stf.graph();
+        let Some((rc, meta)) = self.cache.zip(graph.cache_meta(t)) else {
+            return;
+        };
+        let mut bytes = 0u64;
+        let payload = distinct_writes(graph.task(t))
+            .into_iter()
+            .map(|d| {
+                let buf = self.buffers[d.index()].read().expect("buffer poisoned");
+                bytes += (buf.len() * 8) as u64;
+                buf.clone()
             })
             .collect();
-        // Fallback-estimate warnings: once per (task type, arch) per
-        // runtime — warm re-runs stay silent.
-        let warned = &self.warned;
-        let cache = self.cache.clone();
-        // The shared cache outlives runs: this run's capacity evictions
-        // are the delta over its lifetime counter.
-        let cache_evictions_at_start = cache.as_ref().map_or(0, |rc| rc.evictions());
-        let cache_persist_at_start = cache
-            .as_ref()
-            .map_or_else(Default::default, |rc| rc.persist_stats());
-        // Per-worker observability cells (no-ops unless `--features obs`)
-        // plus one for the submitting thread's seed pushes.
-        let cells: Vec<ObsCell> = (0..nw).map(|_| ObsCell::new()).collect();
-        let seed_obs = ObsCell::new();
-        // Park/wake timeline; only locked when obs is compiled in.
-        let park_events: Mutex<Vec<RuntimeEvent>> = Mutex::new(Vec::new());
+        rc.insert(meta, Some(payload), bytes);
+    }
 
-        let make_view = |now: f64| SchedView {
-            est: Estimator::new(&graph, platform, model),
-            loc: &unified,
-            load: &loads,
-            now,
-        };
-
-        // Release newly-ready tasks (DESIGN.md §12): `ready` holds tasks
-        // whose indegree just reached zero; the misses among them are
-        // pushed. With a result cache installed each one is probed
-        // first, and a verified payload-carrying hit completes right
-        // here: the memoized buffers are copied back under the write
-        // locks, the completion is published, and the successors it
-        // releases are probed in turn — the task never reaches the
-        // scheduler front, the estimator, or a kernel. Every newly-ready
-        // task, cascade included, is probed before any miss is pushed:
-        // identical ready siblings share one cache key, and a miss
-        // pushed before its twin was probed could run on another worker
-        // and populate the entry first, turning the twin into a hit.
-        // Runs on the submitting thread (seeding) and on worker threads
-        // (successor release); every touched piece of state is atomic
-        // or lock-guarded, and a task is probed exactly once (by its
-        // unique releaser), so on a cached run `hits + misses == tasks`.
-        // On return `ready` holds exactly the pushed tasks.
-        let release = |ready: &mut Vec<TaskId>,
-                       via: Option<WorkerId>,
-                       obs: &ObsCell,
-                       view: &SchedView<'_>| {
-            if let Some(rc) = cache.as_deref() {
-                let lane = via.map_or(nw, |w| w.index());
-                let probe = |t: TaskId| -> Option<Arc<CacheEntry>> {
-                    match graph.cache_meta(t).map(|m| rc.lookup(m, true)) {
-                        Some(Lookup::Hit(e)) => return Some(e),
-                        Some(Lookup::Invalidated) => {
-                            obs.bump(Counter::CacheInvalidations);
-                            obs.bump(Counter::CacheMisses);
-                            if obs_enabled() {
-                                let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                                ev.push(RuntimeEvent {
-                                    worker: lane,
-                                    at: now_us(),
-                                    kind: RuntimeEventKind::CacheInvalidated,
-                                });
-                            }
-                        }
-                        _ => obs.bump(Counter::CacheMisses),
-                    }
-                    None
-                };
-                let mut hits: Vec<(TaskId, Arc<CacheEntry>)> = Vec::new();
-                ready.retain(|&t| match probe(t) {
-                    Some(e) => {
-                        hits.push((t, e));
-                        false
-                    }
-                    None => true,
-                });
-                let any_hit = !hits.is_empty();
-                while let Some((t, entry)) = hits.pop() {
-                    // Materialize the payload in the same dedup'd write
-                    // order the populate path stored it. The task is
-                    // ready, so WAR/RAW edges guarantee no live reader
-                    // or writer of these buffers — locking is as safe
-                    // as executing.
-                    let payload = entry
-                        .payload
-                        .as_ref()
-                        .expect("payload-less entry served to the runtime");
-                    let mut written: Vec<DataId> = Vec::new();
-                    for d in graph.task(t).writes() {
-                        if written.contains(&d) {
-                            continue;
-                        }
-                        let src = &payload[written.len()];
-                        written.push(d);
-                        let mut buf = buffers[d.index()].write().expect("buffer poisoned");
-                        buf.clear();
-                        buf.extend_from_slice(src);
-                    }
-                    obs.bump(Counter::CacheHits);
-                    obs.add(Counter::BytesMaterialized, entry.bytes);
-                    if obs_enabled() {
-                        let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                        ev.push(RuntimeEvent {
-                            worker: lane,
-                            at: now_us(),
-                            kind: RuntimeEventKind::CacheHit,
-                        });
-                    }
-                    done_flags[t.index()].store(true, Ordering::Release);
-                    completed.fetch_add(1, Ordering::AcqRel);
-                    let now = now_us();
-                    for &succ in graph.succs(t) {
-                        if indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            ready_at[succ.index()].store(now.to_bits(), Ordering::Relaxed);
-                            match probe(succ) {
-                                Some(e) => hits.push((succ, e)),
-                                None => ready.push(succ),
-                            }
-                        }
-                    }
-                }
-                if any_hit {
-                    wake.notify();
-                }
-            }
-            for &t in ready.iter() {
-                front.push(t, via, view);
-                obs.bump(Counter::Pushes);
-            }
-            let _ = front.drain_prefetches(); // unified memory: no-op
-        };
-
-        // Seed initial ready tasks. Snapshot the sources before probing:
-        // a cache hit completes in place and can drive successors'
-        // indegrees to zero, and those are released inside `release` —
-        // only true sources (whose indegree no release can touch) may
-        // be seeded here.
-        {
-            let mut sources: Vec<TaskId> = (0..n)
-                .map(TaskId::from_index)
-                .filter(|t| indeg[t.index()].load(Ordering::Relaxed) == 0)
-                .collect();
-            release(&mut sources, None, &seed_obs, &make_view(0.0));
+    /// Account a failed attempt of `t` on worker `wi`. Returns true after
+    /// re-pushing it with the policy's backoff; once its attempts are
+    /// exhausted, fails the run with `exhausted(attempts)` and returns
+    /// false.
+    fn retry_or_fail(
+        &self,
+        t: TaskId,
+        wi: usize,
+        obs: &ObsCell,
+        exhausted: impl FnOnce(u32) -> RunError,
+    ) -> bool {
+        let made = self.read().attempts[t.index()].fetch_add(1, Ordering::AcqRel) + 1;
+        if made >= self.retry.max_attempts {
+            self.fail(exhausted(made));
+            return false;
         }
+        obs.bump(Counter::TasksRetried);
+        self.event(wi, RuntimeEventKind::TaskRetried);
+        let backoff = self.retry.backoff_for(made);
+        if backoff > 0.0 {
+            std::thread::sleep(Duration::from_secs_f64(backoff * 1e-6));
+        }
+        {
+            let g = self.read();
+            self.front
+                .push_retry(t, made, &self.view(&g, self.now_us()));
+        }
+        obs.bump(Counter::Pushes);
+        self.wake.notify();
+        true
+    }
 
-        std::thread::scope(|scope| {
-            for (wi, obs) in cells.iter().enumerate() {
-                let w = WorkerId::from_index(wi);
-                let wake = &wake;
-                let abort = &abort;
-                let error = &error;
-                let completed = &completed;
-                let indeg = &indeg;
-                let ready_at = &ready_at;
-                let spans = &spans;
-                let loads = &loads;
-                let warned = &warned;
-                let graph = &graph;
-                let make_view = &make_view;
-                let park_events = &park_events;
-                let alive = &alive;
-                let attempts = &attempts;
-                let done_flags = &done_flags;
-                let worker_classes = &worker_classes;
-                let cache = &cache;
-                let release = &release;
-                scope.spawn(move || {
-                    let arch = platform.worker(w).arch;
-                    let class = platform.arch(arch).class;
-                    // Committed tasks on this worker; read only by its
-                    // own kill-threshold check.
-                    let mut my_done = 0u32;
-                    // Successors released by one completion (reused).
-                    let mut ready: Vec<TaskId> = Vec::new();
-                    loop {
-                        // Epoch BEFORE the exit check and the pop attempt:
-                        // any completion, abort or push bumps it *after*
-                        // its state change, so either the check/pop below
-                        // observes the change, or wait() sees a moved
-                        // epoch and returns immediately. (Reading the
-                        // epoch after the exit check left a window where
-                        // the final completed-increment and its notify
-                        // both landed in between: the worker then parked
-                        // on the fresh epoch with no notify ever coming —
-                        // a rare end-of-run hang.)
-                        let seen = wake.current();
-                        // Fault plan: die after the configured number of
-                        // completions. The death is self-published here,
-                        // between tasks — never mid-kernel — so nothing
-                        // is lost in flight; the front-end re-routes any
-                        // work queued for this worker.
-                        if kills_on
-                            && faults.kill_after(wi).is_some_and(|k| my_done >= k)
-                            && alive[wi].swap(false, Ordering::AcqRel)
-                        {
-                            obs.bump(Counter::WorkerFailures);
-                            if obs_enabled() {
-                                let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                                ev.push(RuntimeEvent {
-                                    worker: wi,
-                                    at: now_us(),
-                                    kind: RuntimeEventKind::WorkerFailed,
-                                });
-                            }
-                            {
-                                let view = make_view(now_us());
-                                front.worker_disabled(w, &view);
-                            }
-                            // The run can only finish if every remaining
-                            // task keeps a capable surviving worker —
-                            // abort typed instead of hanging otherwise.
-                            let mut doomed: Option<TaskId> = None;
-                            for i in 0..n {
-                                if done_flags[i].load(Ordering::Acquire) {
-                                    continue;
-                                }
-                                let capable = (0..nw).any(|xi| {
-                                    alive[xi].load(Ordering::Acquire)
-                                        && impls[i].contains_key(&worker_classes[xi])
-                                });
-                                if !capable {
-                                    doomed = Some(TaskId::from_index(i));
-                                    break;
-                                }
-                            }
-                            if let Some(t) = doomed {
-                                let mut e = error.lock().unwrap_or_else(|p| p.into_inner());
-                                if e.is_none() {
-                                    *e = Some(RunError::NoCapableWorker { task: t });
-                                }
-                                drop(e);
-                                abort.store(true, Ordering::Release);
-                            }
-                            wake.notify();
-                            return;
-                        }
-                        if completed.load(Ordering::Acquire) >= n || abort.load(Ordering::Acquire) {
-                            wake.notify();
-                            return;
-                        }
-                        let popped = {
-                            let view = make_view(now_us());
-                            front.pop(w, &view)
-                        };
-                        let Some(t) = popped else {
-                            // Nothing for us now. If the scheduler holds
-                            // tasks back, poppability can change by time
-                            // alone — bounded re-poll; otherwise park
-                            // until the next push/completion event.
-                            let bound = if front.pending() > 0 {
-                                Some(HOLDBACK_REPOLL)
-                            } else {
-                                None
-                            };
-                            if obs_enabled() {
-                                let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                                ev.push(RuntimeEvent {
-                                    worker: wi,
-                                    at: now_us(),
-                                    kind: RuntimeEventKind::Park,
-                                });
-                            }
-                            wake.wait(seen, bound);
-                            if obs_enabled() {
-                                let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                                ev.push(RuntimeEvent {
-                                    worker: wi,
-                                    at: now_us(),
-                                    kind: RuntimeEventKind::Wake,
-                                });
-                            }
-                            continue;
-                        };
-                        obs.bump(Counter::Pops);
+    /// Kill-fault death of worker `w`, published between tasks — never
+    /// mid-kernel — so nothing is lost in flight; the front-end
+    /// re-routes work queued for it.
+    fn die(&self, w: WorkerId, obs: &ObsCell) {
+        self.alive[w.index()].store(false, Ordering::SeqCst);
+        obs.bump(Counter::WorkerFailures);
+        self.event(w.index(), RuntimeEventKind::WorkerFailed);
+        let g = self.read();
+        self.front.worker_disabled(w, &self.view(&g, self.now_us()));
+        // The stream can only drain if every admitted task keeps a
+        // capable surviving worker — abort typed instead of hanging.
+        if let Some(task) = self.doomed(&g, 0..g.done.len()) {
+            drop(g);
+            self.fail(RunError::NoCapableWorker { task });
+        }
+    }
 
-                        // Injected transient failure: the attempt dies
-                        // before the kernel runs, so a failed attempt
-                        // leaves no effect on the buffers (effectively-
-                        // once semantics need exactly one *committed*
-                        // execution; failed attempts must be pure).
-                        if transients_on
-                            && faults.transient_fails(
-                                t.index(),
-                                attempts[t.index()].load(Ordering::Relaxed),
-                            )
-                        {
-                            let made = attempts[t.index()].fetch_add(1, Ordering::AcqRel) + 1;
-                            if made >= retry.max_attempts {
-                                let mut e = error.lock().unwrap_or_else(|p| p.into_inner());
-                                if e.is_none() {
-                                    *e = Some(RunError::RetryExhausted {
-                                        task: t,
-                                        attempts: made,
-                                    });
-                                }
-                                drop(e);
-                                abort.store(true, Ordering::Release);
-                                wake.notify();
-                                return;
-                            }
-                            obs.bump(Counter::TasksRetried);
-                            if obs_enabled() {
-                                let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                                ev.push(RuntimeEvent {
-                                    worker: wi,
-                                    at: now_us(),
-                                    kind: RuntimeEventKind::TaskRetried,
-                                });
-                            }
-                            let backoff = retry.backoff_for(made);
-                            if backoff > 0.0 {
-                                std::thread::sleep(Duration::from_secs_f64(backoff * 1e-6));
-                            }
-                            {
-                                let view = make_view(now_us());
-                                front.push_retry(t, made, &view);
-                            }
-                            obs.bump(Counter::Pushes);
-                            wake.notify();
-                            continue;
-                        }
+    /// A missing model entry falls back to an arch mean or the
+    /// uncalibrated default instead of silently recording zero load;
+    /// say so once per (task type, arch) per runtime.
+    fn warn_fallback(&self, graph: &TaskGraph, t: TaskId, arch: ArchId, delta: DeltaEstimate) {
+        let tt = graph.task(t).ttype;
+        if self.warned.first(tt, arch) {
+            let kind = match delta {
+                DeltaEstimate::ArchMean(_) => "arch-class mean",
+                _ => "uncalibrated default",
+            };
+            eprintln!(
+                "mp-runtime: no calibrated estimate for task type \
+                 '{}' on arch {:?}; using {} of {:.1} µs",
+                graph.task_type(tt).name,
+                arch,
+                kind,
+                delta.us(),
+            );
+        }
+    }
 
-                        // Estimate for the load table, then execute. A
-                        // missing model entry falls back to an arch mean
-                        // or the uncalibrated default instead of silently
-                        // recording zero load.
-                        let est = Estimator::new(graph, platform, model);
-                        let delta_est = est.delta_or_mean(t, arch);
-                        if !delta_est.is_exact() {
-                            let tt = graph.task(t).ttype;
-                            if warned.first(tt, arch) {
-                                let kind = match delta_est {
-                                    DeltaEstimate::ArchMean(_) => "arch-class mean",
-                                    _ => "uncalibrated default",
-                                };
-                                eprintln!(
-                                    "mp-runtime: no calibrated estimate for task type \
-                                     '{}' on arch {:?}; using {} of {:.1} µs",
-                                    graph.task_type(tt).name,
-                                    arch,
-                                    kind,
-                                    delta_est.us(),
-                                );
-                            }
-                        }
-                        let t_start = now_us();
-                        loads.set(w, t_start + delta_est.us());
-                        {
-                            let view = make_view(t_start);
-                            front.feedback(&SchedEvent::TaskStarted { t, w }, &view);
-                        }
-                        // Resolve the kernel before touching buffers; a
-                        // miss is a scheduler bug — abort the run with a
-                        // typed error instead of panicking in a scoped
-                        // thread.
-                        let Some(kernel) = impls[t.index()].get(&class).cloned() else {
-                            let mut e = error.lock().unwrap_or_else(|p| p.into_inner());
-                            if e.is_none() {
-                                *e = Some(RunError::MissingKernel { task: t, class });
-                            }
-                            drop(e);
-                            abort.store(true, Ordering::Release);
-                            wake.notify();
-                            return;
-                        };
-                        // Lock buffers in access order (deps guarantee
-                        // no cycles among concurrent tasks).
-                        let task = graph.task(t);
-                        let (bufs, modes): (Vec<BufRef<'_>>, Vec<AccessMode>) = task
-                            .accesses
-                            .iter()
-                            .map(|a| {
-                                let b = &buffers[a.data.index()];
-                                let g = if a.mode.writes() {
-                                    BufRef::W(b.write().expect("buffer poisoned"))
-                                } else {
-                                    BufRef::R(b.read().expect("buffer poisoned"))
-                                };
-                                (g, a.mode)
-                            })
-                            .unzip();
-                        // Run the kernel behind a panic boundary: a
-                        // panicking user kernel must not unwind through
-                        // the scoped-thread team (which would poison the
-                        // span mutex and re-panic the whole run) — it
-                        // becomes a typed error with a partial trace.
-                        // `ctx` lives outside the closure, so its buffer
-                        // guards drop on the normal path and the `RwLock`s
-                        // are never poisoned.
-                        let mut ctx = TaskCtx::new(bufs, modes);
-                        let panicked =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                if faults.kernel_panics(t.index()) {
-                                    panic!("injected kernel panic ({t:?})");
-                                }
-                                kernel(&mut ctx);
-                            }))
-                            .is_err();
-                        drop(ctx);
-                        if panicked {
-                            let made = attempts[t.index()].fetch_add(1, Ordering::AcqRel) + 1;
-                            if made >= retry.max_attempts {
-                                let mut e = error.lock().unwrap_or_else(|p| p.into_inner());
-                                if e.is_none() {
-                                    *e = Some(RunError::KernelPanicked { task: t });
-                                }
-                                drop(e);
-                                abort.store(true, Ordering::Release);
-                                wake.notify();
-                                return;
-                            }
-                            // Retryable panic: the worker survives; the
-                            // task re-enters the scheduler after backoff.
-                            obs.bump(Counter::TasksRetried);
-                            if obs_enabled() {
-                                let mut ev = park_events.lock().unwrap_or_else(|e| e.into_inner());
-                                ev.push(RuntimeEvent {
-                                    worker: wi,
-                                    at: now_us(),
-                                    kind: RuntimeEventKind::TaskRetried,
-                                });
-                            }
-                            loads.set(w, now_us());
-                            let backoff = retry.backoff_for(made);
-                            if backoff > 0.0 {
-                                std::thread::sleep(Duration::from_secs_f64(backoff * 1e-6));
-                            }
-                            {
-                                let view = make_view(now_us());
-                                front.push_retry(t, made, &view);
-                            }
-                            obs.bump(Counter::Pushes);
-                            wake.notify();
-                            continue;
-                        }
-                        // Injected slow-down/stall: sleeps *inside* the
-                        // measured window, so history models observe the
-                        // perturbed duration like a real hiccup.
-                        if let Some(delay) = faults.kernel_delay(t.index()) {
-                            std::thread::sleep(delay);
-                        }
-                        let t_end = now_us();
-                        loads.set(w, t_end);
-                        est.record(t, arch, t_end - t_start);
-                        spans
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .push(TaskSpan {
-                                task: t,
-                                ttype: task.ttype,
-                                worker: w,
-                                ready_at: f64::from_bits(
-                                    ready_at[t.index()].load(Ordering::Relaxed),
-                                ),
-                                start: t_start,
-                                end: t_end,
-                            });
-                        // Populate the result cache: clone the written
-                        // buffers in dedup'd write order — the same
-                        // order a future hit materializes them back.
-                        if let Some(rc) = cache.as_deref() {
-                            if let Some(meta) = graph.cache_meta(t) {
-                                let mut written: Vec<DataId> = Vec::new();
-                                let mut payload: Vec<Vec<f64>> = Vec::new();
-                                let mut bytes = 0u64;
-                                for d in task.writes() {
-                                    if written.contains(&d) {
-                                        continue;
-                                    }
-                                    written.push(d);
-                                    let buf = buffers[d.index()].read().expect("buffer poisoned");
-                                    bytes += (buf.len() * 8) as u64;
-                                    payload.push(buf.clone());
-                                }
-                                rc.insert(meta, Some(payload), bytes);
-                            }
-                        }
-
-                        // Release successors and report completion. Events
-                        // and pushes reach the front-end in this thread's
-                        // program order; the front-end sequences them
-                        // globally (GlobalLock by its mutex, the sharded
-                        // adapter by its event log).
-                        {
-                            let view = make_view(t_end);
-                            front.feedback(
-                                &SchedEvent::TaskFinished {
-                                    t,
-                                    w,
-                                    elapsed_us: t_end - t_start,
-                                },
-                                &view,
-                            );
-                            ready.clear();
-                            for &succ in graph.succs(t) {
-                                if indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    ready_at[succ.index()]
-                                        .store(t_end.to_bits(), Ordering::Relaxed);
-                                    ready.push(succ);
-                                }
-                            }
-                            release(&mut ready, Some(w), obs, &view);
-                        }
-                        done_flags[t.index()].store(true, Ordering::Release);
-                        completed.fetch_add(1, Ordering::AcqRel);
-                        my_done += 1;
-                        // Injected wakeup latency: successors were already
-                        // pushed, but parked workers learn about it late.
-                        if let Some(delay) = faults.wake_delay() {
-                            std::thread::sleep(delay);
-                        }
-                        // Every push/completion wakes parked workers.
-                        wake.notify();
-                    }
-                });
+    /// One worker thread: pop, execute and complete tasks until the
+    /// stream is closed and drained, the run aborts, or a kill fault
+    /// takes the worker down.
+    fn worker(&self, wi: usize, obs: &ObsCell) {
+        let w = WorkerId::from_index(wi);
+        let arch = self.platform.worker(w).arch;
+        let class = self.classes[wi];
+        let kill_after = self.faults.kill_after(wi);
+        // Tasks this worker committed; read only by its own kill check.
+        let mut my_done = 0u32;
+        // Successors released by one completion, and the accesses of the
+        // running task (both reused).
+        let mut ready: Vec<TaskId> = Vec::new();
+        let mut accesses: Vec<Access> = Vec::new();
+        loop {
+            // Epoch BEFORE the exit check and the pop attempt: any
+            // completion, abort, push or stream event bumps it *after*
+            // its state change, so either the check/pop below observes
+            // the change, or wait() sees a moved epoch and returns
+            // immediately. (Reading the epoch after the exit check left a
+            // window where the final completed-increment and its notify
+            // both landed in between: the worker then parked on the
+            // fresh epoch with no notify ever coming — a rare end-of-run
+            // hang.)
+            let seen = self.wake.current();
+            if kill_after.is_some_and(|k| my_done >= k) {
+                self.die(w, obs);
+                return;
             }
-        });
+            if self.aborted()
+                || (self.closed.load(Ordering::Acquire)
+                    && self.completed.load(Ordering::Acquire)
+                        >= self.admitted.load(Ordering::Acquire))
+            {
+                return;
+            }
+            // First read guard: pop, estimate, start.
+            let (t, kernel, t_start) = {
+                let g = self.read();
+                let popped = self.front.pop(w, &self.view(&g, self.now_us()));
+                let Some(t) = popped else {
+                    drop(g);
+                    // Nothing for us now. If the scheduler holds tasks
+                    // back, poppability can change by time alone —
+                    // bounded re-poll; otherwise park until the next
+                    // push, completion or stream event.
+                    let bound = (self.front.pending() > 0).then_some(HOLDBACK_REPOLL);
+                    self.event(wi, RuntimeEventKind::Park);
+                    self.wake.wait(seen, bound);
+                    self.event(wi, RuntimeEventKind::Wake);
+                    continue;
+                };
+                obs.bump(Counter::Pops);
+                // Injected transient failure: the attempt dies before the
+                // kernel runs, so a failed attempt leaves no effect on
+                // the buffers (effectively-once semantics need exactly
+                // one *committed* execution; failed attempts must be
+                // pure).
+                let attempt = g.attempts[t.index()].load(Ordering::Relaxed);
+                if self.faults.transient_fails(t.index(), attempt) {
+                    drop(g);
+                    let retried = self.retry_or_fail(t, wi, obs, |attempts| {
+                        RunError::RetryExhausted { task: t, attempts }
+                    });
+                    if retried {
+                        continue;
+                    }
+                    return;
+                }
+                // Resolve the kernel before touching buffers; a miss is a
+                // scheduler bug — abort with a typed error instead of
+                // panicking in a scoped thread.
+                let Some(kernel) = g.impls[t.index()].get(&class).cloned() else {
+                    drop(g);
+                    self.fail(RunError::MissingKernel { task: t, class });
+                    return;
+                };
+                let graph = g.stf.graph();
+                let delta = Estimator::new(graph, self.platform, self.model).delta_or_mean(t, arch);
+                if !delta.is_exact() {
+                    self.warn_fallback(graph, t, arch, delta);
+                }
+                accesses.clear();
+                accesses.extend_from_slice(&graph.task(t).accesses);
+                let t_start = self.now_us();
+                self.loads.set(w, t_start + delta.us());
+                let view = self.view(&g, t_start);
+                self.front
+                    .feedback(&SchedEvent::TaskStarted { t, w }, &view);
+                (t, kernel, t_start)
+            };
+            // Lock buffers in access order (deps guarantee no cycles
+            // among concurrent tasks).
+            let (bufs, modes): (Vec<BufRef<'_>>, Vec<AccessMode>) = accesses
+                .iter()
+                .map(|a| {
+                    let b = &self.buffers[a.data.index()];
+                    let guard = if a.mode.writes() {
+                        BufRef::W(b.write().expect("buffer poisoned"))
+                    } else {
+                        BufRef::R(b.read().expect("buffer poisoned"))
+                    };
+                    (guard, a.mode)
+                })
+                .unzip();
+            // Run the kernel behind a panic boundary: a panicking user
+            // kernel must not unwind through the scoped-thread team
+            // (which would poison the span mutex and re-panic the whole
+            // run) — it is retried or becomes a typed error with a
+            // partial trace. `ctx` lives outside the closure, so its
+            // buffer guards drop on the normal path and the `RwLock`s
+            // are never poisoned.
+            let mut ctx = TaskCtx::new(bufs, modes);
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if self.faults.kernel_panics(t.index()) {
+                    panic!("injected kernel panic ({t:?})");
+                }
+                kernel(&mut ctx);
+            }))
+            .is_err();
+            drop(ctx);
+            if panicked {
+                self.loads.set(w, self.now_us());
+                if self.retry_or_fail(t, wi, obs, |_| RunError::KernelPanicked { task: t }) {
+                    continue;
+                }
+                return;
+            }
+            // Injected slow-down/stall: sleeps *inside* the measured
+            // window, so history models observe the perturbed duration
+            // like a real hiccup.
+            if let Some(delay) = self.faults.kernel_delay(t.index()) {
+                std::thread::sleep(delay);
+            }
+            let t_end = self.now_us();
+            self.loads.set(w, t_end);
+            // Second read guard: completion and release happen entirely
+            // under it, so the driver's write-guarded commit can never
+            // observe (or miss) half of them. Events and pushes reach the
+            // front-end in this thread's program order; the front-end
+            // sequences them globally.
+            {
+                let g = self.read();
+                let graph = g.stf.graph();
+                Estimator::new(graph, self.platform, self.model).record(t, arch, t_end - t_start);
+                self.spans
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(TaskSpan {
+                        task: t,
+                        ttype: graph.task(t).ttype,
+                        worker: w,
+                        ready_at: f64::from_bits(g.ready_at[t.index()].load(Ordering::Relaxed)),
+                        start: t_start,
+                        end: t_end,
+                    });
+                self.populate(&g, t);
+                let view = self.view(&g, t_end);
+                let elapsed_us = t_end - t_start;
+                self.front
+                    .feedback(&SchedEvent::TaskFinished { t, w, elapsed_us }, &view);
+                ready.clear();
+                self.finish(&g, t, t_end, |succ| ready.push(succ));
+                self.release(&g, &mut ready, Some(w), obs, &view);
+            }
+            my_done += 1;
+            // Injected wakeup latency: successors were already pushed,
+            // but parked workers learn about it late.
+            if let Some(delay) = self.faults.wake_delay() {
+                std::thread::sleep(delay);
+            }
+            self.wake.notify();
+        }
+    }
 
-        // Mid-run failures surface on the report next to the partial
-        // trace — `Err` is reserved for submit-time NoUsableImpl above.
-        let run_error = error.lock().unwrap_or_else(|p| p.into_inner()).take();
-        let makespan_us = now_us();
-        let mut trace = Trace::new(nw);
-        trace.tasks = spans.into_inner().unwrap_or_else(|p| p.into_inner());
+    /// Tear the finished run down into its graph state and outcome.
+    fn into_outcome(
+        self,
+        cells: &[ObsCell],
+        evictions_at_start: u64,
+        persist_at_start: PersistStats,
+    ) -> (Shared, Outcome) {
+        let makespan_us = self.now_us();
+        let mut trace = Trace::new(self.alive.len());
+        trace.tasks = self
+            .spans
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         // Wall-clock ties are real under coarse timers: break them by
         // task id so the span order (and every downstream export) is
         // deterministic.
         trace
             .tasks
             .sort_by(|a, b| a.end.total_cmp(&b.end).then(a.task.cmp(&b.task)));
-        let mut counters = front.counters();
-        seed_obs.drain_into(&mut counters);
-        for c in &cells {
+        let mut counters = self.front.counters();
+        for c in cells {
             c.drain_into(&mut counters);
         }
-        if let Some(rc) = &cache {
-            counters.cache_evictions += rc.evictions() - cache_evictions_at_start;
+        if let Some(rc) = self.cache {
+            counters.cache_evictions += rc.evictions() - evictions_at_start;
             let ps = rc.persist_stats();
-            counters.cache_persist_writes += ps.writes - cache_persist_at_start.writes;
-            counters.cache_loaded += ps.loaded - cache_persist_at_start.loaded;
-            counters.cache_load_rejects += ps.load_rejects - cache_persist_at_start.load_rejects;
-            counters.cache_compactions += ps.compactions - cache_persist_at_start.compactions;
+            counters.cache_persist_writes += ps.writes - persist_at_start.writes;
+            counters.cache_loaded += ps.loaded - persist_at_start.loaded;
+            counters.cache_load_rejects += ps.load_rejects - persist_at_start.load_rejects;
+            counters.cache_compactions += ps.compactions - persist_at_start.compactions;
         }
-        let mut events = park_events.into_inner().unwrap_or_else(|p| p.into_inner());
+        let mut events = self
+            .events
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         events.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.worker.cmp(&b.worker)));
-        Ok(RunReport {
-            makespan_us,
-            trace,
-            scheduler: sched_name,
-            error: run_error,
-            counters,
-            events,
-            rank: None,
-        })
+        let ledger =
+            |v: Vec<AtomicU64>| -> Vec<u64> { v.into_iter().map(AtomicU64::into_inner).collect() };
+        let out = Outcome {
+            report: RunReport {
+                makespan_us,
+                trace,
+                scheduler: self.front.name(),
+                error: self
+                    .error
+                    .into_inner()
+                    .unwrap_or_else(PoisonError::into_inner),
+                counters,
+                events,
+            },
+            tasks_admitted: self.admitted.into_inner(),
+            tasks_completed: self.completed.into_inner(),
+            cache_hits: self.cache_hits.into_inner(),
+            cache_misses: self.cache_misses.into_inner(),
+            tenant_admitted: ledger(self.tenant_admitted),
+            tenant_completed: ledger(self.tenant_completed),
+            tenant_cache_hits: ledger(self.tenant_cache_hits),
+        };
+        let shared = self
+            .shared
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        (shared, out)
     }
 }
 
@@ -1142,6 +1333,7 @@ mod tests {
     use super::*;
     use mp_perfmodel::{TableModel, TimeFn};
     use mp_platform::presets::homogeneous;
+    use mp_sched::concurrent::{RelaxedConfig, RelaxedMultiQueue, ShardedAdapter};
     use mp_sched::FifoScheduler;
 
     fn model() -> Arc<dyn PerfModel> {
@@ -1232,9 +1424,8 @@ mod tests {
                     .flops(64.0),
             );
         }
-        let report = rt
-            .run_sharded(4, &|| Box::new(FifoScheduler::new()))
-            .expect("run failed");
+        let front = ShardedAdapter::new(4, &|| Box::new(FifoScheduler::new()));
+        let report = rt.run_concurrent(&front).expect("run failed");
         assert_eq!(report.trace.tasks.len(), 4);
         assert!(report.trace.validate().is_ok());
         assert!(report.scheduler.contains("sharded"));
@@ -1340,8 +1531,9 @@ mod tests {
                 .cpu(|ctx| ctx.w(0)[0] += 1.0)
                 .flops(1.0),
         );
+        let front = ShardedAdapter::new(4, &|| Box::new(FifoScheduler::new()));
         let report = rt
-            .run_sharded(4, &|| Box::new(FifoScheduler::new()))
+            .run_concurrent(&front)
             .expect("panic is contained, not returned as Err");
         assert_eq!(report.error, Some(RunError::KernelPanicked { task: bad }));
         assert!(!report.is_complete());
@@ -1370,8 +1562,9 @@ mod tests {
                 .cpu(|ctx| ctx.w(0)[0] += 1.0)
                 .flops(1.0),
         );
+        let front = RelaxedMultiQueue::new(4, RelaxedConfig::default());
         let report = rt
-            .run_relaxed(RelaxedConfig::default())
+            .run_concurrent(&front)
             .expect("panic is contained, not returned as Err");
         assert_eq!(report.error, Some(RunError::KernelPanicked { task: bad }));
         assert!(!report.is_complete());
@@ -1638,15 +1831,14 @@ mod tests {
         let cache = Arc::new(ResultCache::new());
         let (mut cold, _, _) = cached_pipeline(1.0);
         cold.set_cache(Arc::clone(&cache));
-        cold.run_sharded(2, &|| Box::new(FifoScheduler::new()))
-            .expect("cold run");
+        let front = ShardedAdapter::new(2, &|| Box::new(FifoScheduler::new()));
+        cold.run_concurrent(&front).expect("cold run");
         let digest = cold.buffers_digest();
 
         let (mut warm, _, _) = cached_pipeline(1.0);
         warm.set_cache(Arc::clone(&cache));
-        let report = warm
-            .run_sharded(2, &|| Box::new(FifoScheduler::new()))
-            .expect("warm run");
+        let front = ShardedAdapter::new(2, &|| Box::new(FifoScheduler::new()));
+        let report = warm.run_concurrent(&front).expect("warm run");
         assert!(report.is_complete());
         assert!(report.trace.tasks.is_empty());
         assert_eq!(warm.buffers_digest(), digest);
@@ -1700,5 +1892,43 @@ mod tests {
             }
             other => panic!("expected NoUsableImpl, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn task_without_implementations_is_a_typed_error() {
+        let mut rt = Runtime::new(homogeneous(2), model());
+        let x = rt.register(vec![0.0], "x");
+        let t = rt.submit(TaskBuilder::new("AXPY").access(x, AccessMode::Read));
+        match rt.run(Box::new(FifoScheduler::new())) {
+            Err(RunError::NoUsableImpl { task, .. }) => assert_eq!(task, t),
+            other => panic!("expected NoUsableImpl, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn re_registered_task_type_is_a_typed_error() {
+        let mut rt = Runtime::new(homogeneous(2), model());
+        let x = rt.register(vec![0.0], "x");
+        rt.submit(
+            TaskBuilder::new("AXPY")
+                .access(x, AccessMode::ReadWrite)
+                .cpu(|_| {}),
+        );
+        let t = rt.submit(
+            TaskBuilder::new("AXPY")
+                .access(x, AccessMode::ReadWrite)
+                .cpu(|_| {})
+                .gpu(|_| {}),
+        );
+        let err = rt
+            .run(Box::new(FifoScheduler::new()))
+            .expect_err("mismatched re-registration");
+        assert_eq!(
+            err,
+            RunError::ImplMismatch {
+                task: t,
+                ttype: "AXPY".into()
+            }
+        );
     }
 }

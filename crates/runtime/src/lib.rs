@@ -9,10 +9,12 @@
 //! * per-architecture-class kernel implementations as Rust closures (the
 //!   "CPU codelet" / "GPU codelet" pair of a StarPU task);
 //! * worker threads bound to the platform's workers, parked on an
-//!   eventcount-style wake epoch and woken on every PUSH/completion;
-//! * two scheduler front-ends: a global-lock baseline and a sharded
-//!   multi-queue with randomized two-choice stealing
-//!   ([`mp_sched::concurrent`]);
+//!   eventcount-style wake epoch and woken on every PUSH/completion —
+//!   one worker loop for closed DAGs ([`Runtime::run_concurrent`]) and
+//!   streams ([`Runtime::serve_concurrent`]) alike;
+//! * any [`mp_sched::concurrent`] front-end: the global-lock baseline,
+//!   the sharded multi-queue with randomized two-choice stealing, or the
+//!   relaxed multi-queue;
 //! * measured execution times fed back into the performance model
 //!   (closing StarPU's calibration loop for history-based models);
 //! * a wall-clock `mp-trace` trace.

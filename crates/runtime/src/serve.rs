@@ -18,53 +18,36 @@
 //!   clock** and the tenant completion ledger
 //!   ([`StreamConfig::arrival_gap_us`]) — never by wall time, so the
 //!   boost a given arrival/completion interleaving produces is
-//!   reproducible;
-//! * when a [`mp_cache::ResultCache`] is installed
-//!   ([`Runtime::set_cache`]), every released task is probed before it
-//!   reaches the front-end: a verified payload-carrying hit
-//!   materializes the memoized buffers under the write locks and
-//!   completes in place — never pushed, popped or estimated — with the
-//!   cascade of all-hit successors drained in the same step, exactly as
-//!   the batch engine's cache path. A warm resubmission of an identical
-//!   sub-DAG therefore costs no scheduler or queue capacity at all.
+//!   reproducible.
 //!
-//! The driver runs on the calling thread; workers drive any
-//! [`ConcurrentScheduler`] front-end (global-lock, sharded, relaxed).
-//! Graph growth is synchronized with one `RwLock`: workers pop, start
-//! and complete under read guards, the driver commits each admitted
-//! sub-DAG under the write guard, so a completion can never race the
-//! indegree snapshot of a commit. Kernels execute outside the guard.
-//!
-//! Unlike the batch paths, serving does not retry or fault-inject: a
-//! kernel panic or a misrouted task aborts the stream with a typed
-//! error and a partial trace.
+//! The driver runs on the calling thread; the workers are the batch
+//! engine's ([`crate::engine`]), so a stream gets everything a batch run
+//! gets: any [`ConcurrentScheduler`] front-end (global-lock, sharded,
+//! relaxed), the result cache's release-time probe (a warm resubmission
+//! of an identical sub-DAG costs no scheduler or queue capacity at all),
+//! [`crate::FaultPlan`] injection, [`crate::RetryPolicy`] retries of
+//! panicking or transiently failing kernels, and the observability
+//! counters and events. A worker death that leaves some admitted or
+//! later-committed task without a capable survivor ends the stream with
+//! [`RunError::NoCapableWorker`]. The driver commits each admitted
+//! sub-DAG under the core's write guard, so a completion can never race
+//! the indegree snapshot of a commit. Bad input — no tenants, an unknown
+//! tenant, a task no platform class can run, a task type re-registered
+//! with other implementations — is refused with a typed [`RunError`]
+//! before any thread spawns.
 
 use std::collections::HashMap;
-use std::mem;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::sync::atomic::Ordering;
 
-use mp_cache::{CacheEntry, Lookup};
-use mp_dag::access::AccessMode;
-use mp_dag::ids::{DataId, TaskId, TaskTypeId};
-use mp_dag::stf::StfBuilder;
-use mp_perfmodel::{Estimator, PerfModel};
-use mp_platform::types::{ArchClass, WorkerId};
-use mp_sched::api::{SchedEvent, SchedView, Scheduler};
-use mp_sched::concurrent::{
-    ConcurrentScheduler, GlobalLock, RelaxedConfig, RelaxedMultiQueue, ShardedAdapter,
-};
+use mp_dag::ids::{TaskId, TaskTypeId};
+use mp_sched::api::Scheduler;
+use mp_sched::concurrent::{ConcurrentScheduler, GlobalLock};
 pub use mp_serve::{AdmissionConfig, AdmitError, FairnessConfig, TenantSpec};
 
 use mp_serve::effective_priority;
-use mp_trace::{Counter, CounterSnapshot, ObsCell, TaskSpan, Trace};
+use mp_trace::{CounterSnapshot, RuntimeEvent, Trace};
 
-use crate::data::{BufRef, TaskCtx};
-use crate::engine::{
-    AtomicLoads, KernelFn, RunError, Runtime, TaskBuilder, UnifiedMemory, WakeEpoch,
-    HOLDBACK_REPOLL,
-};
+use crate::engine::{RunError, Runtime, TaskBuilder};
 
 /// Tenancy and admission knobs of one streaming run.
 #[derive(Clone, Debug)]
@@ -138,8 +121,12 @@ pub struct StreamReport {
     /// Streamed submissions rejected with backpressure.
     pub subdags_rejected: u64,
     /// Scheduler/engine counters, including per-tenant
-    /// admitted/rejected/completed.
+    /// admitted/rejected/completed and the cache's per-run eviction and
+    /// persistence deltas.
     pub counters: CounterSnapshot,
+    /// Worker park/wake, cache and fault timeline. Empty unless built
+    /// with `--features obs`.
+    pub events: Vec<RuntimeEvent>,
     /// Why the stream aborted, if it did.
     pub error: Option<RunError>,
 }
@@ -149,30 +136,6 @@ impl StreamReport {
     pub fn is_complete(&self) -> bool {
         self.error.is_none() && self.tasks_completed == self.tasks_admitted
     }
-}
-
-/// Graph-coupled state the driver grows under the write guard and
-/// workers read under read guards. Per-task vectors are indexed by task
-/// index and append-only; the atomics inside them are shared-mutable
-/// under read guards (concurrent completions), the `Vec`s themselves
-/// only change under the write guard.
-struct Shared {
-    stf: StfBuilder,
-    impls: Vec<HashMap<ArchClass, KernelFn>>,
-    indeg: Vec<AtomicUsize>,
-    done: Vec<AtomicBool>,
-    ready_at: Vec<AtomicU64>,
-    tenant_of: Vec<u32>,
-}
-
-/// One streamed task after type registration, ready to stage.
-struct Prepared {
-    ttype: TaskTypeId,
-    accesses: Vec<(mp_dag::ids::DataId, AccessMode)>,
-    flops: f64,
-    prio: i64,
-    label: String,
-    impls: HashMap<ArchClass, KernelFn>,
 }
 
 impl Runtime {
@@ -188,29 +151,6 @@ impl Runtime {
         self.serve_concurrent(&front, cfg, stream)
     }
 
-    /// Serve `stream` under the sharded multi-queue front-end.
-    pub fn serve_sharded(
-        &mut self,
-        shards: usize,
-        factory: &dyn Fn() -> Box<dyn Scheduler>,
-        cfg: &StreamConfig,
-        stream: Vec<Submission>,
-    ) -> Result<StreamReport, RunError> {
-        let front = ShardedAdapter::new(shards, factory);
-        self.serve_concurrent(&front, cfg, stream)
-    }
-
-    /// Serve `stream` under the relaxed multi-queue front-end.
-    pub fn serve_relaxed(
-        &mut self,
-        rc: RelaxedConfig,
-        cfg: &StreamConfig,
-        stream: Vec<Submission>,
-    ) -> Result<StreamReport, RunError> {
-        let front = RelaxedMultiQueue::new(self.platform.worker_count(), rc);
-        self.serve_concurrent(&front, cfg, stream)
-    }
-
     /// Serve `stream` by driving `front` from one thread per platform
     /// worker while this thread plays the open-loop driver.
     pub fn serve_concurrent(
@@ -219,419 +159,13 @@ impl Runtime {
         cfg: &StreamConfig,
         stream: Vec<Submission>,
     ) -> Result<StreamReport, RunError> {
-        if let Some(err) = self.submit_error.clone() {
-            return Err(err);
-        }
-        assert!(!cfg.tenants.is_empty(), "serving needs at least one tenant");
-        let classes: Vec<ArchClass> = {
-            let mut cs = Vec::new();
-            for a in self.platform.archs() {
-                if !cs.contains(&a.class) {
-                    cs.push(a.class);
-                }
-            }
-            cs
-        };
-        // Coverage is checked up front, like `run` does at submit time:
-        // a task no worker class could execute fails the whole stream
-        // before any thread spawns. The reported id is the index the
-        // task would get with every earlier submission admitted.
-        let pre = self.stf.graph().task_count();
-        let mut prospective = pre;
-        for sub in &stream {
-            assert!(
-                sub.tenant < cfg.tenants.len(),
-                "submission names tenant {} of {}",
-                sub.tenant,
-                cfg.tenants.len()
-            );
-            for tb in &sub.tasks {
-                assert!(
-                    !tb.impls.is_empty(),
-                    "streamed task '{}' has no implementation",
-                    tb.ttype
-                );
-                if !classes.iter().any(|c| tb.impls.contains_key(c)) {
-                    return Err(RunError::NoUsableImpl {
-                        task: TaskId::from_index(prospective),
-                        label: if tb.label.is_empty() {
-                            tb.ttype.clone()
-                        } else {
-                            tb.label.clone()
-                        },
-                        platform_classes: classes,
-                    });
-                }
-                prospective += 1;
-            }
-        }
-
-        let nw = self.platform.worker_count();
+        self.check_stream(cfg, &stream)?;
         let nt = cfg.tenants.len();
-        let platform = &self.platform;
-        let model: &dyn PerfModel = &*self.model;
-        let buffers = &self.buffers;
-        let sched_name = front.name();
-        let cache = self.cache.clone();
-
-        let shared = RwLock::new(Shared {
-            indeg: (0..pre)
-                .map(|i| AtomicUsize::new(self.stf.graph().preds(TaskId::from_index(i)).len()))
-                .collect(),
-            done: (0..pre).map(|_| AtomicBool::new(false)).collect(),
-            ready_at: (0..pre).map(|_| AtomicU64::new(0f64.to_bits())).collect(),
-            tenant_of: vec![0; pre],
-            stf: mem::replace(&mut self.stf, StfBuilder::new()),
-            impls: mem::take(&mut self.impls),
-        });
-
-        let loads = AtomicLoads::new(nw);
-        let unified = UnifiedMemory;
-        let wake = WakeEpoch::new();
-        let abort = AtomicBool::new(false);
-        let stream_closed = AtomicBool::new(false);
-        let error: Mutex<Option<RunError>> = Mutex::new(None);
-        // Pre-existing tasks count as already-admitted tenant-0 work.
-        let admitted_tasks = AtomicUsize::new(pre);
-        let completed_tasks = AtomicUsize::new(0);
-        let tenant_in_flight: Vec<AtomicUsize> = (0..nt).map(|_| AtomicUsize::new(0)).collect();
-        let tenant_admitted: Vec<AtomicU64> = (0..nt).map(|_| AtomicU64::new(0)).collect();
-        let tenant_completed: Vec<AtomicU64> = (0..nt).map(|_| AtomicU64::new(0)).collect();
-        let tenant_cache_hits: Vec<AtomicU64> = (0..nt).map(|_| AtomicU64::new(0)).collect();
-        let cache_hits_n = AtomicU64::new(0);
-        let cache_misses_n = AtomicU64::new(0);
-        tenant_in_flight[0].fetch_add(pre, Ordering::Relaxed);
-        tenant_admitted[0].fetch_add(pre as u64, Ordering::Relaxed);
-        let spans = Mutex::new(Vec::<TaskSpan>::new());
-        let cells: Vec<ObsCell> = (0..nw).map(|_| ObsCell::new()).collect();
-        let driver_obs = ObsCell::new();
-
-        let start = Instant::now();
-        let now_us = || start.elapsed().as_secs_f64() * 1e6;
-
-        // Release newly-ready tasks, mirroring the batch engine's
-        // `release`: `ready` holds tasks whose indegree just reached
-        // zero; the misses among them are pushed. With a result cache
-        // installed each one is probed first, and on a verified
-        // payload-carrying hit the memoized buffers are copied back
-        // under the buffer write locks, the completion (tenant ledger
-        // included) is published, and the successors it releases are
-        // probed in turn — the task never reaches the front-end, the
-        // estimator or a kernel. Every newly-ready task, cascade
-        // included, is probed before any miss is pushed, so a fast
-        // worker cannot run one identical sibling and populate the
-        // shared entry while its twins still wait to be probed. On
-        // return `ready` holds exactly the pushed tasks.
-        // Callers hold a `shared` guard: a read guard on workers, the
-        // write guard on the driver — either way the graph cannot grow
-        // under the cascade, and a released task's WAR/RAW edges
-        // guarantee no live reader or writer of its written buffers.
-        let release = |g: &Shared,
-                       ready: &mut Vec<TaskId>,
-                       via: Option<WorkerId>,
-                       obs: &ObsCell,
-                       view: &SchedView<'_>| {
-            if let Some(rc) = cache.as_deref() {
-                let probe = |t: TaskId| -> Option<Arc<CacheEntry>> {
-                    match g.stf.graph().cache_meta(t).map(|m| rc.lookup(m, true)) {
-                        Some(Lookup::Hit(e)) => return Some(e),
-                        Some(Lookup::Invalidated) => {
-                            cache_misses_n.fetch_add(1, Ordering::Relaxed);
-                            obs.bump(Counter::CacheInvalidations);
-                            obs.bump(Counter::CacheMisses);
-                        }
-                        _ => {
-                            cache_misses_n.fetch_add(1, Ordering::Relaxed);
-                            obs.bump(Counter::CacheMisses);
-                        }
-                    }
-                    None
-                };
-                let mut hits: Vec<(TaskId, Arc<CacheEntry>)> = Vec::new();
-                ready.retain(|&t| match probe(t) {
-                    Some(e) => {
-                        hits.push((t, e));
-                        false
-                    }
-                    None => true,
-                });
-                let any_hit = !hits.is_empty();
-                while let Some((t, entry)) = hits.pop() {
-                    // Materialize the payload in the same dedup'd write
-                    // order the populate path stored it.
-                    let payload = entry
-                        .payload
-                        .as_ref()
-                        .expect("payload-less entry served to the runtime");
-                    let mut written: Vec<DataId> = Vec::new();
-                    for d in g.stf.graph().task(t).writes() {
-                        if written.contains(&d) {
-                            continue;
-                        }
-                        let src = &payload[written.len()];
-                        written.push(d);
-                        let mut buf = buffers[d.index()].write().expect("buffer poisoned");
-                        buf.clear();
-                        buf.extend_from_slice(src);
-                    }
-                    cache_hits_n.fetch_add(1, Ordering::Relaxed);
-                    obs.bump(Counter::CacheHits);
-                    obs.add(Counter::BytesMaterialized, entry.bytes);
-                    g.done[t.index()].store(true, Ordering::Release);
-                    let ti = g.tenant_of[t.index()] as usize;
-                    tenant_in_flight[ti].fetch_sub(1, Ordering::AcqRel);
-                    tenant_completed[ti].fetch_add(1, Ordering::AcqRel);
-                    tenant_cache_hits[ti].fetch_add(1, Ordering::Relaxed);
-                    completed_tasks.fetch_add(1, Ordering::AcqRel);
-                    let now = now_us();
-                    for &succ in g.stf.graph().succs(t) {
-                        if g.indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            g.ready_at[succ.index()].store(now.to_bits(), Ordering::Relaxed);
-                            match probe(succ) {
-                                Some(e) => hits.push((succ, e)),
-                                None => ready.push(succ),
-                            }
-                        }
-                    }
-                }
-                if any_hit {
-                    wake.notify();
-                }
-            }
-            for &t in ready.iter() {
-                front.push(t, via, view);
-                obs.bump(Counter::Pushes);
-            }
-            let _ = front.drain_prefetches();
-        };
-
-        // Seed pre-existing sources before any worker spawns. Snapshot
-        // the sources first: a cache hit completes in place and can
-        // drive successors' indegrees to zero, and those are released
-        // inside `release` — only true sources may be seeded here.
-        {
-            let g = shared.read().unwrap_or_else(|e| e.into_inner());
-            let view = SchedView {
-                est: Estimator::new(g.stf.graph(), platform, model),
-                loc: &unified,
-                load: &loads,
-                now: 0.0,
-            };
-            let mut sources: Vec<TaskId> = (0..pre)
-                .map(TaskId::from_index)
-                .filter(|t| g.indeg[t.index()].load(Ordering::Relaxed) == 0)
-                .collect();
-            release(&g, &mut sources, None, &driver_obs, &view);
-        }
-
-        let mut admitted: Vec<Option<Vec<TaskId>>> = Vec::with_capacity(stream.len());
-        let mut rejections: Vec<(usize, AdmitError)> = Vec::new();
-
-        std::thread::scope(|scope| {
-            for (wi, obs) in cells.iter().enumerate() {
-                let w = WorkerId::from_index(wi);
-                let shared = &shared;
-                let wake = &wake;
-                let abort = &abort;
-                let stream_closed = &stream_closed;
-                let error = &error;
-                let admitted_tasks = &admitted_tasks;
-                let completed_tasks = &completed_tasks;
-                let tenant_in_flight = &tenant_in_flight;
-                let tenant_completed = &tenant_completed;
-                let spans = &spans;
-                let loads = &loads;
-                let unified = &unified;
-                let cache = &cache;
-                let release = &release;
-                scope.spawn(move || {
-                    let arch = platform.worker(w).arch;
-                    let class = platform.arch(arch).class;
-                    // Successors released by one completion (reused).
-                    let mut ready: Vec<TaskId> = Vec::new();
-                    loop {
-                        // Epoch before the exit check and pop: the same
-                        // missed-wake protocol as the batch engine.
-                        let seen = wake.current();
-                        if abort.load(Ordering::Acquire)
-                            || (stream_closed.load(Ordering::Acquire)
-                                && completed_tasks.load(Ordering::Acquire)
-                                    >= admitted_tasks.load(Ordering::Acquire))
-                        {
-                            wake.notify();
-                            return;
-                        }
-                        let popped = {
-                            let g = shared.read().unwrap_or_else(|e| e.into_inner());
-                            let view = SchedView {
-                                est: Estimator::new(g.stf.graph(), platform, model),
-                                loc: unified,
-                                load: loads,
-                                now: now_us(),
-                            };
-                            front.pop(w, &view)
-                        };
-                        let Some(t) = popped else {
-                            // Hold-backs become poppable by time alone;
-                            // otherwise park until the next push,
-                            // completion or stream event.
-                            let bound = if front.pending() > 0 {
-                                Some(HOLDBACK_REPOLL)
-                            } else {
-                                None
-                            };
-                            wake.wait(seen, bound);
-                            continue;
-                        };
-                        obs.bump(Counter::Pops);
-                        // Snapshot what execution needs, then drop the
-                        // guard — kernels must not block the driver.
-                        let (kernel, accesses, ttype, est_us) = {
-                            let g = shared.read().unwrap_or_else(|e| e.into_inner());
-                            let task = g.stf.graph().task(t);
-                            let est = Estimator::new(g.stf.graph(), platform, model);
-                            (
-                                g.impls[t.index()].get(&class).cloned(),
-                                task.accesses.clone(),
-                                task.ttype,
-                                est.delta_or_mean(t, arch).us(),
-                            )
-                        };
-                        let Some(kernel) = kernel else {
-                            let mut e = error.lock().unwrap_or_else(|p| p.into_inner());
-                            if e.is_none() {
-                                *e = Some(RunError::MissingKernel { task: t, class });
-                            }
-                            drop(e);
-                            abort.store(true, Ordering::Release);
-                            wake.notify();
-                            return;
-                        };
-                        let t_start = now_us();
-                        loads.set(w, t_start + est_us);
-                        {
-                            let g = shared.read().unwrap_or_else(|e| e.into_inner());
-                            let view = SchedView {
-                                est: Estimator::new(g.stf.graph(), platform, model),
-                                loc: unified,
-                                load: loads,
-                                now: t_start,
-                            };
-                            front.feedback(&SchedEvent::TaskStarted { t, w }, &view);
-                        }
-                        // Buffer locks in access order, kernel behind a
-                        // panic boundary — as in the batch engine.
-                        let (bufs, modes): (Vec<BufRef<'_>>, Vec<AccessMode>) = accesses
-                            .iter()
-                            .map(|a| {
-                                let b = &buffers[a.data.index()];
-                                let gbuf = if a.mode.writes() {
-                                    BufRef::W(b.write().expect("buffer poisoned"))
-                                } else {
-                                    BufRef::R(b.read().expect("buffer poisoned"))
-                                };
-                                (gbuf, a.mode)
-                            })
-                            .unzip();
-                        let mut ctx = TaskCtx::new(bufs, modes);
-                        let panicked =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                kernel(&mut ctx);
-                            }))
-                            .is_err();
-                        drop(ctx);
-                        if panicked {
-                            let mut e = error.lock().unwrap_or_else(|p| p.into_inner());
-                            if e.is_none() {
-                                *e = Some(RunError::KernelPanicked { task: t });
-                            }
-                            drop(e);
-                            abort.store(true, Ordering::Release);
-                            wake.notify();
-                            return;
-                        }
-                        let t_end = now_us();
-                        loads.set(w, t_end);
-                        // Completion happens entirely under one read
-                        // guard: the driver's write-guarded commit can
-                        // therefore never observe (or miss) half of it.
-                        {
-                            let g = shared.read().unwrap_or_else(|e| e.into_inner());
-                            let est = Estimator::new(g.stf.graph(), platform, model);
-                            est.record(t, arch, t_end - t_start);
-                            spans
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .push(TaskSpan {
-                                    task: t,
-                                    ttype,
-                                    worker: w,
-                                    ready_at: f64::from_bits(
-                                        g.ready_at[t.index()].load(Ordering::Relaxed),
-                                    ),
-                                    start: t_start,
-                                    end: t_end,
-                                });
-                            let view = SchedView {
-                                est: Estimator::new(g.stf.graph(), platform, model),
-                                loc: unified,
-                                load: loads,
-                                now: t_end,
-                            };
-                            front.feedback(
-                                &SchedEvent::TaskFinished {
-                                    t,
-                                    w,
-                                    elapsed_us: t_end - t_start,
-                                },
-                                &view,
-                            );
-                            // Populate the result cache before releasing
-                            // successors: clone the written buffers in
-                            // dedup'd write order — the same order a
-                            // future hit materializes them back — while
-                            // no successor can yet be re-writing them.
-                            if let Some(rc) = cache.as_deref() {
-                                if let Some(meta) = g.stf.graph().cache_meta(t) {
-                                    let mut written: Vec<DataId> = Vec::new();
-                                    let mut payload: Vec<Vec<f64>> = Vec::new();
-                                    let mut bytes = 0u64;
-                                    for d in g.stf.graph().task(t).writes() {
-                                        if written.contains(&d) {
-                                            continue;
-                                        }
-                                        written.push(d);
-                                        let buf =
-                                            buffers[d.index()].read().expect("buffer poisoned");
-                                        bytes += (buf.len() * 8) as u64;
-                                        payload.push(buf.clone());
-                                    }
-                                    rc.insert(meta, Some(payload), bytes);
-                                }
-                            }
-                            g.done[t.index()].store(true, Ordering::Release);
-                            ready.clear();
-                            for &succ in g.stf.graph().succs(t) {
-                                if g.indeg[succ.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    g.ready_at[succ.index()]
-                                        .store(t_end.to_bits(), Ordering::Relaxed);
-                                    ready.push(succ);
-                                }
-                            }
-                            release(&g, &mut ready, Some(w), obs, &view);
-                            let ti = g.tenant_of[t.index()] as usize;
-                            tenant_in_flight[ti].fetch_sub(1, Ordering::AcqRel);
-                            tenant_completed[ti].fetch_add(1, Ordering::AcqRel);
-                            completed_tasks.fetch_add(1, Ordering::AcqRel);
-                        }
-                        wake.notify();
-                    }
-                });
-            }
-
-            // ---- The open-loop driver (this thread). Submissions are
-            // processed in order as fast as admission allows; a
-            // rejection drops the stage and moves on — no waiting.
+        let (out, (admitted, rejections)) = self.execute(front, nt, |core, obs| {
+            let mut admitted: Vec<Option<Vec<TaskId>>> = Vec::with_capacity(stream.len());
+            let mut rejections: Vec<(usize, AdmitError)> = Vec::new();
+            // Submissions are processed in order as fast as admission
+            // allows; a rejection drops the submission and moves on.
             //
             // Starvation aging runs on the driver's virtual arrival
             // clock: submission `si` arrives at `si * arrival_gap_us`,
@@ -641,20 +175,18 @@ impl Runtime {
             let mut last_progress_v = vec![0.0f64; nt];
             let mut last_completed_seen = vec![0u64; nt];
             for (si, sub) in stream.into_iter().enumerate() {
-                if abort.load(Ordering::Acquire) {
+                if core.aborted() {
                     admitted.push(None);
                     continue;
                 }
                 let ti = sub.tenant;
                 let spec = &cfg.tenants[ti];
-                let staged_n = sub.tasks.len();
-                let mut g = shared.write().unwrap_or_else(|e| e.into_inner());
+                let mut g = core.write();
+                let tenant_in_flight = core.tenant_in_flight[ti].load(Ordering::Acquire);
                 let boost = if cfg.arrival_gap_us > 0.0 {
                     let vnow = si as f64 * cfg.arrival_gap_us;
-                    let done_now = tenant_completed[ti].load(Ordering::Acquire);
-                    if done_now != last_completed_seen[ti]
-                        || tenant_in_flight[ti].load(Ordering::Acquire) == 0
-                    {
+                    let done_now = core.tenant_completed[ti].load(Ordering::Acquire);
+                    if done_now != last_completed_seen[ti] || tenant_in_flight == 0 {
                         // The ledger moved (or the tenant is idle):
                         // progress, reset the drought.
                         last_completed_seen[ti] = done_now;
@@ -666,166 +198,133 @@ impl Runtime {
                 } else {
                     0
                 };
-                // Workers only mutate the counters under read guards, so
-                // this in-flight snapshot is exact while we hold write.
-                let in_flight = admitted_tasks.load(Ordering::Acquire)
-                    - completed_tasks.load(Ordering::Acquire);
-                let decision = cfg.admission.check(
-                    ti,
-                    staged_n,
-                    in_flight,
-                    tenant_in_flight[ti].load(Ordering::Acquire),
-                );
-                // Register types first (idempotent), then stage every
-                // task — the stage is dropped on rejection, which must
-                // leave graph, flows and versions untouched.
-                let prepared: Vec<Prepared> = sub
+                let decision =
+                    cfg.admission
+                        .check(ti, sub.tasks.len(), core.in_flight(), tenant_in_flight);
+                // Register types first (idempotent, and checked
+                // consistent before the stream started), then stage an
+                // admitted submission's tasks and commit them at once.
+                let ttypes: Vec<TaskTypeId> = sub
                     .tasks
-                    .into_iter()
-                    .map(|tb| Prepared {
-                        ttype: g.stf.graph_mut().register_type(
-                            &tb.ttype,
-                            tb.impls.contains_key(&ArchClass::Cpu),
-                            tb.impls.contains_key(&ArchClass::Gpu),
-                        ),
-                        prio: effective_priority(
-                            spec.base_priority.saturating_add(tb.priority),
-                            spec.weight,
-                            &cfg.fairness,
-                            boost,
-                        ),
-                        label: if tb.label.is_empty() {
-                            tb.ttype.clone()
-                        } else {
-                            tb.label
-                        },
-                        accesses: tb.accesses,
-                        flops: tb.flops,
-                        impls: tb.impls,
+                    .iter()
+                    .map(|tb| {
+                        let (cpu, gpu) = tb.impl_classes();
+                        g.stf.graph_mut().register_type(&tb.ttype, cpu, gpu)
                     })
                     .collect();
-                let mut impls_of: Vec<HashMap<ArchClass, KernelFn>> =
-                    Vec::with_capacity(prepared.len());
-                let mut stage = g.stf.begin_submission();
-                for p in prepared {
-                    stage.submit_prio(p.ttype, p.accesses, p.flops, p.prio, p.label);
-                    impls_of.push(p.impls);
-                }
                 if let Err(err) = decision {
-                    drop(stage);
                     drop(g);
                     rejections.push((si, err));
                     admitted.push(None);
                     continue;
                 }
-                let ids = stage.commit();
-                let now = now_us();
-                for (&t, im) in ids.iter().zip(impls_of) {
-                    let open = g
-                        .stf
-                        .graph()
-                        .preds(t)
-                        .iter()
-                        .filter(|p| !g.done[p.index()].load(Ordering::Acquire))
-                        .count();
-                    g.indeg.push(AtomicUsize::new(open));
-                    g.done.push(AtomicBool::new(false));
-                    g.ready_at.push(AtomicU64::new(now.to_bits()));
-                    g.tenant_of.push(ti as u32);
-                    g.impls.push(im);
+                let sh = &mut *g;
+                let first = sh.impls.len();
+                let mut stage = sh.stf.begin_submission();
+                for (tb, tt) in sub.tasks.into_iter().zip(ttypes) {
+                    let prio = effective_priority(
+                        spec.base_priority.saturating_add(tb.priority),
+                        spec.weight,
+                        &cfg.fairness,
+                        boost,
+                    );
+                    let label = tb.label_or_type();
+                    stage.submit_prio(tt, tb.accesses, tb.flops, prio, label);
+                    sh.impls.push(tb.impls);
                 }
-                admitted_tasks.fetch_add(ids.len(), Ordering::AcqRel);
-                tenant_in_flight[ti].fetch_add(ids.len(), Ordering::AcqRel);
-                tenant_admitted[ti].fetch_add(ids.len() as u64, Ordering::AcqRel);
-                let view = SchedView {
-                    est: Estimator::new(g.stf.graph(), platform, model),
-                    loc: &unified,
-                    load: &loads,
-                    now,
-                };
-                // Snapshot the sources before probing: a cache hit
-                // cascade completes successors in place, and those must
-                // not be re-seen by this scan.
-                let mut sources: Vec<TaskId> = ids
-                    .iter()
-                    .copied()
-                    .filter(|t| g.indeg[t.index()].load(Ordering::Relaxed) == 0)
-                    .collect();
-                release(&g, &mut sources, None, &driver_obs, &view);
+                let ids = stage.commit();
+                let last = sh.impls.len();
+                debug_assert_eq!(ids.len(), last - first);
+                core.commit(sh, first..last, ti, core.now_us(), obs);
                 drop(g);
                 admitted.push(Some(ids));
-                wake.notify();
+                core.notify();
             }
-            stream_closed.store(true, Ordering::Release);
-            wake.notify();
+            (admitted, rejections)
         });
 
-        // Restore the grown graph and kernel table: `graph()`/`buffer()`
-        // keep working after the stream, and further batch runs see the
-        // streamed tasks as already-submitted work.
-        let sh = shared.into_inner().unwrap_or_else(|e| e.into_inner());
-        self.stf = sh.stf;
-        self.impls = sh.impls;
-
-        let run_error = error.lock().unwrap_or_else(|p| p.into_inner()).take();
-        let makespan_us = now_us();
-        let mut trace = Trace::new(nw);
-        trace.tasks = spans.into_inner().unwrap_or_else(|p| p.into_inner());
-        trace
-            .tasks
-            .sort_by(|a, b| a.end.total_cmp(&b.end).then(a.task.cmp(&b.task)));
-        let mut counters = front.counters();
-        driver_obs.drain_into(&mut counters);
-        for c in &cells {
-            c.drain_into(&mut counters);
-        }
-        counters.tenant_admitted = tenant_admitted
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        counters.tenant_completed = tenant_completed
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        counters.tenant_cache_hits = tenant_cache_hits
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect();
-        let mut tenant_rejected = vec![0u64; nt];
-        let subdags_admitted = admitted.iter().filter(|a| a.is_some()).count() as u64;
+        let mut counters = out.report.counters;
+        counters.tenant_admitted = out.tenant_admitted;
+        counters.tenant_completed = out.tenant_completed;
+        counters.tenant_cache_hits = out.tenant_cache_hits;
+        counters.tenant_rejected = vec![0; nt];
         for (_, err) in &rejections {
             let ti = match err {
                 AdmitError::Backpressure { tenant, .. }
                 | AdmitError::TenantBackpressure { tenant, .. } => *tenant,
             };
-            tenant_rejected[ti] += 1;
+            counters.tenant_rejected[ti] += 1;
         }
-        counters.tenant_rejected = tenant_rejected;
         Ok(StreamReport {
-            scheduler: sched_name,
-            makespan_us,
-            trace,
-            subdags_admitted,
+            scheduler: out.report.scheduler,
+            makespan_us: out.report.makespan_us,
+            trace: out.report.trace,
+            subdags_admitted: admitted.iter().filter(|a| a.is_some()).count() as u64,
             subdags_rejected: rejections.len() as u64,
             admitted,
             rejections,
-            tasks_admitted: admitted_tasks.load(Ordering::Relaxed),
-            tasks_completed: completed_tasks.load(Ordering::Relaxed),
-            cache_hits: cache_hits_n.load(Ordering::Relaxed),
-            cache_misses: cache_misses_n.load(Ordering::Relaxed),
+            tasks_admitted: out.tasks_admitted,
+            tasks_completed: out.tasks_completed,
+            cache_hits: out.cache_hits,
+            cache_misses: out.cache_misses,
             counters,
-            error: run_error,
+            events: out.report.events,
+            error: out.report.error,
         })
+    }
+
+    /// Refuse a stream that could never be served, before any thread
+    /// spawns. A task's reported id is the index it would get with every
+    /// earlier submission admitted.
+    fn check_stream(&self, cfg: &StreamConfig, stream: &[Submission]) -> Result<(), RunError> {
+        if let Some(err) = self.submit_error.clone() {
+            return Err(err);
+        }
+        if cfg.tenants.is_empty() {
+            return Err(RunError::NoTenants);
+        }
+        let graph = self.stf.graph();
+        // Types the stream registers first, with their classes.
+        let mut fresh: HashMap<&str, (bool, bool)> = HashMap::new();
+        let mut next = graph.task_count();
+        for (submission, sub) in stream.iter().enumerate() {
+            if sub.tenant >= cfg.tenants.len() {
+                return Err(RunError::UnknownTenant {
+                    submission,
+                    tenant: sub.tenant,
+                    tenants: cfg.tenants.len(),
+                });
+            }
+            for tb in &sub.tasks {
+                let registered = graph
+                    .type_id(&tb.ttype)
+                    .map(|id| graph.task_type(id))
+                    .map(|ty| (ty.cpu_impl, ty.gpu_impl))
+                    .or_else(|| fresh.get(tb.ttype.as_str()).copied());
+                if let Some(err) = tb.unusable(TaskId::from_index(next), &self.classes, registered)
+                {
+                    return Err(err);
+                }
+                fresh.entry(&tb.ttype).or_insert_with(|| tb.impl_classes());
+                next += 1;
+            }
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
-    use mp_perfmodel::{TableModel, TimeFn};
+    use mp_dag::access::AccessMode;
+    use mp_dag::ids::DataId;
+    use mp_perfmodel::{PerfModel, TableModel, TimeFn};
     use mp_platform::presets::homogeneous;
+    use mp_platform::types::{ArchClass, WorkerId};
+    use mp_sched::api::SchedView;
     use mp_sched::EagerPrioScheduler;
 
     fn model() -> Arc<dyn PerfModel> {
@@ -1099,5 +598,207 @@ mod tests {
             );
         }
         assert_eq!(rt.buffer(d)[0], 6.0);
+    }
+
+    /// A policy that panics when the driver pushes task `victim`: a
+    /// stand-in for any panic on the driver thread.
+    struct PanicOnDriverPush {
+        inner: EagerPrioScheduler,
+        victim: usize,
+    }
+
+    impl Scheduler for PanicOnDriverPush {
+        fn name(&self) -> &'static str {
+            "panic-on-driver-push"
+        }
+
+        fn push(&mut self, t: TaskId, releaser: Option<WorkerId>, view: &SchedView<'_>) {
+            assert!(
+                releaser.is_some() || t.index() != self.victim,
+                "policy bug on the driver thread"
+            );
+            self.inner.push(t, releaser, view);
+        }
+
+        fn pop(&mut self, w: WorkerId, view: &SchedView<'_>) -> Option<TaskId> {
+            self.inner.pop(w, view)
+        }
+
+        fn pending(&self) -> usize {
+            self.inner.pending()
+        }
+    }
+
+    /// Regression: a panic on the driver thread once deadlocked the
+    /// process — `thread::scope` joined workers parked waiting for a
+    /// stream close that never came. The drop guard now closes the
+    /// stream and wakes the workers on every driver exit, so `serve`
+    /// unwinds instead of hanging; the watchdog turns a recurrence into
+    /// a test failure instead of a hung suite.
+    #[test]
+    fn driver_panic_closes_the_stream_instead_of_hanging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut rt = Runtime::new(homogeneous(2), model());
+            let a = rt.register(vec![0.0], "a");
+            let b = rt.register(vec![0.0], "b");
+            let cfg = StreamConfig::new(TenantSpec::equal(1));
+            let one = |d| Submission {
+                tenant: 0,
+                tasks: vec![TaskBuilder::new("STREAM")
+                    .access(d, AccessMode::ReadWrite)
+                    .cpu(|ctx| ctx.w(0)[0] += 1.0)],
+            };
+            let sched = PanicOnDriverPush {
+                inner: EagerPrioScheduler::new(),
+                victim: 1,
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rt.serve(Box::new(sched), &cfg, vec![one(a), one(b)])
+            }));
+            let _ = tx.send(outcome.is_err());
+        });
+        let unwound = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("serve hung after a driver panic");
+        assert!(unwound, "the driver panic propagates out of serve");
+    }
+
+    fn one_task(tenant: usize, ttype: &str, d: DataId) -> Submission {
+        Submission {
+            tenant,
+            tasks: vec![TaskBuilder::new(ttype)
+                .access(d, AccessMode::ReadWrite)
+                .cpu(|ctx| ctx.w(0)[0] += 1.0)],
+        }
+    }
+
+    #[test]
+    fn empty_tenant_list_is_a_typed_error() {
+        let mut rt = Runtime::new(homogeneous(2), model());
+        let d = rt.register(vec![0.0], "d");
+        let cfg = StreamConfig::new(Vec::new());
+        let err = rt
+            .serve(
+                Box::new(EagerPrioScheduler::new()),
+                &cfg,
+                vec![one_task(0, "STREAM", d)],
+            )
+            .expect_err("no tenants");
+        assert_eq!(err, RunError::NoTenants);
+        assert_eq!(rt.graph().task_count(), 0);
+    }
+
+    #[test]
+    fn out_of_range_tenant_is_a_typed_error() {
+        let mut rt = Runtime::new(homogeneous(2), model());
+        let d = rt.register(vec![0.0], "d");
+        let cfg = StreamConfig::new(TenantSpec::equal(2));
+        let stream = vec![one_task(1, "STREAM", d), one_task(5, "STREAM", d)];
+        let err = rt
+            .serve(Box::new(EagerPrioScheduler::new()), &cfg, stream)
+            .expect_err("unknown tenant");
+        assert_eq!(
+            err,
+            RunError::UnknownTenant {
+                submission: 1,
+                tenant: 5,
+                tenants: 2
+            }
+        );
+        assert_eq!(rt.graph().task_count(), 0, "refused before anything ran");
+    }
+
+    #[test]
+    fn streamed_task_without_implementations_is_a_typed_error() {
+        let mut rt = Runtime::new(homogeneous(2), model());
+        let d = rt.register(vec![0.0], "d");
+        let cfg = StreamConfig::new(TenantSpec::equal(1));
+        let bare = Submission {
+            tenant: 0,
+            tasks: vec![TaskBuilder::new("BARE").access(d, AccessMode::Read)],
+        };
+        let err = rt
+            .serve(
+                Box::new(EagerPrioScheduler::new()),
+                &cfg,
+                vec![one_task(0, "STREAM", d), bare],
+            )
+            .expect_err("no implementation");
+        assert!(
+            matches!(err, RunError::NoUsableImpl { task, .. } if task == TaskId::from_index(1)),
+            "got {err:?}"
+        );
+    }
+
+    /// The reproduction: submission 0 registers `K` CPU-only, then
+    /// submission 1 re-registers it with a GPU implementation. This used
+    /// to panic inside `TaskGraph::register_type` under the driver's
+    /// write guard.
+    #[test]
+    fn re_registered_task_type_is_a_typed_error() {
+        let mut rt = Runtime::new(homogeneous(2), model());
+        let d = rt.register(vec![0.0], "d");
+        let cfg = StreamConfig::new(TenantSpec::equal(1));
+        let gpu_too = Submission {
+            tenant: 0,
+            tasks: vec![TaskBuilder::new("K")
+                .access(d, AccessMode::ReadWrite)
+                .cpu(|_| {})
+                .gpu(|_| {})],
+        };
+        let err = rt
+            .serve(
+                Box::new(EagerPrioScheduler::new()),
+                &cfg,
+                vec![one_task(0, "K", d), gpu_too],
+            )
+            .expect_err("mismatched re-registration");
+        assert_eq!(
+            err,
+            RunError::ImplMismatch {
+                task: TaskId::from_index(1),
+                ttype: "K".into()
+            }
+        );
+        assert_eq!(rt.graph().task_count(), 0, "refused before anything ran");
+        assert!(rt.graph().type_id("K").is_none(), "no type registered");
+    }
+
+    /// Threaded twin of `serve_sim`'s delta test: the stream reports the
+    /// cache's persist writes and evictions of this run.
+    #[test]
+    fn cache_eviction_and_persist_deltas_reach_the_stream_counters() {
+        let dir = std::env::temp_dir().join(format!("mp-rt-serve-deltas-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(mp_cache::ResultCache::new());
+        cache.persist_to(&dir).expect("attach log");
+        let serve_cold = |cache: &Arc<mp_cache::ResultCache>| {
+            let mut rt = Runtime::new(homogeneous(2), model());
+            rt.set_cache(Arc::clone(cache));
+            let roots: Vec<DataId> = (0..4)
+                .map(|i| rt.register(vec![0.0], &format!("root{i}")))
+                .collect();
+            let cfg = StreamConfig::new(TenantSpec::equal(2));
+            let stream = (0..8).map(|i| warm_sub(i % 2, roots[i % 4], 2)).collect();
+            rt.serve(Box::new(EagerPrioScheduler::new()), &cfg, stream)
+                .expect("serve failed")
+        };
+        let report = serve_cold(&cache);
+        assert!(report.is_complete(), "{:?}", report.error);
+        // One record per executed (missed) task.
+        let executed = report.trace.tasks.len() as u64;
+        assert_eq!(report.cache_misses, executed);
+        assert_eq!(report.counters.cache_persist_writes, executed);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let capped = Arc::new(mp_cache::ResultCache::with_capacity(64));
+        let report = serve_cold(&capped);
+        assert!(report.is_complete(), "{:?}", report.error);
+        assert!(
+            report.counters.cache_evictions > 0,
+            "a 64-byte cache evicts"
+        );
+        assert_eq!(report.counters.cache_evictions, capped.evictions());
     }
 }

@@ -28,7 +28,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use mp_cache::{Lookup, ResultCache};
+use mp_cache::{Lookup, PersistStats, ResultCache};
 use mp_dag::access::AccessMode;
 use mp_dag::hash;
 use mp_dag::ids::{DataId, TaskId, TaskTypeId};
@@ -247,6 +247,11 @@ struct Engine<'e> {
     cache_hits: u64,
     cache_misses: u64,
     cache_invalidations: u64,
+    /// The cache's lifetime eviction count and persistence counters at
+    /// engine start: the cache outlives runs, so this run's share is the
+    /// delta at report time.
+    cache_evictions_at_start: u64,
+    cache_persist_at_start: PersistStats,
     schedule_hash: u64,
     makespan: f64,
     ttype: TaskTypeId,
@@ -332,6 +337,8 @@ impl<'e> Engine<'e> {
             cache_hits: 0,
             cache_misses: 0,
             cache_invalidations: 0,
+            cache_evictions_at_start: cache.map_or(0, ResultCache::evictions),
+            cache_persist_at_start: cache.map(ResultCache::persist_stats).unwrap_or_default(),
             schedule_hash: hash::FNV_OFFSET,
             makespan: 0.0,
             ttype,
@@ -653,6 +660,14 @@ impl<'e> Engine<'e> {
         counters.cache_hits = self.cache_hits;
         counters.cache_misses = self.cache_misses;
         counters.cache_invalidations = self.cache_invalidations;
+        if let Some(rc) = self.cache {
+            counters.cache_evictions = rc.evictions() - self.cache_evictions_at_start;
+            let (ps, at_start) = (rc.persist_stats(), self.cache_persist_at_start);
+            counters.cache_persist_writes = ps.writes - at_start.writes;
+            counters.cache_loaded = ps.loaded - at_start.loaded;
+            counters.cache_load_rejects = ps.load_rejects - at_start.load_rejects;
+            counters.cache_compactions = ps.compactions - at_start.compactions;
+        }
         ServeReport {
             scheduler,
             workers: self.platform.worker_count(),
@@ -900,6 +915,44 @@ mod tests {
         }
         assert_eq!(r.counters.cache_hits, r.cache_hits);
         assert_eq!(r.counters.cache_misses, r.cache_misses);
+    }
+
+    /// The cache's lifetime counters reach the report as per-run
+    /// deltas: a cold run persisting to a log reports one write per
+    /// inserted record, and a byte-capped cache reports its evictions.
+    #[test]
+    fn cache_eviction_and_persist_deltas_reach_the_counters() {
+        let cfg = ServeConfig::new(
+            TenantSpec::equal(2),
+            ArrivalProcess::Poisson {
+                rate_per_sec: 5000.0,
+            },
+            60,
+        );
+        let platform = homogeneous(4);
+        let model = model();
+        let dir = std::env::temp_dir().join(format!("mp-serve-deltas-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = mp_cache::ResultCache::new();
+        cache.persist_to(&dir).expect("attach log");
+        let mut sched = EagerPrioScheduler::new();
+        let r = serve_sim_cached(&platform, &model, &mut sched, &cfg, Some(&cache));
+        assert!(r.is_complete(), "error: {:?}", r.error);
+        assert!(r.cache_misses > 0);
+        // Every miss executes once and inserts one record.
+        assert_eq!(r.counters.cache_persist_writes, r.cache_misses);
+        assert_eq!(
+            r.counters.cache_persist_writes,
+            cache.persist_stats().writes
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A few hundred bytes hold a record or two of the working set.
+        let capped = mp_cache::ResultCache::with_capacity(256);
+        let r = serve_sim_cached(&platform, &model, &mut sched, &cfg, Some(&capped));
+        assert!(r.is_complete(), "error: {:?}", r.error);
+        assert!(r.counters.cache_evictions > 0, "a one-record cache evicts");
+        assert_eq!(r.counters.cache_evictions, capped.evictions());
     }
 
     #[test]

@@ -26,7 +26,8 @@ use multiprio_suite::bench::make_scheduler_factory;
 use multiprio_suite::dag::TaskGraph;
 use multiprio_suite::perfmodel::PerfModel;
 use multiprio_suite::platform::presets::simple;
-use multiprio_suite::runtime::{FaultPlan, RelaxedConfig, RetryPolicy};
+use multiprio_suite::runtime::{FaultPlan, RelaxedConfig, RelaxedMultiQueue, RetryPolicy};
+use multiprio_suite::sched::concurrent::ShardedAdapter;
 use multiprio_suite::sim::{simulate, simulate_cached, ResultCache, SimConfig};
 use multiprio_suite::trace::obs::obs_enabled;
 use proptest::prelude::*;
@@ -199,7 +200,8 @@ fn runtime_spans_are_sorted_by_end_then_task() {
         let factory = make_scheduler_factory("multiprio");
         let (mut rt, edge_mismatches) = mirror_graph(graph, &platform, Arc::clone(model));
         assert!(edge_mismatches.is_empty(), "{wname}: mirrored DAG diverged");
-        let report = rt.run_sharded(4, &*factory).expect("runtime run failed");
+        let front = ShardedAdapter::new(4, &*factory);
+        let report = rt.run_concurrent(&front).expect("runtime run failed");
         assert!(report.error.is_none(), "{wname}: {:?}", report.error);
         for pair in report.trace.tasks.windows(2) {
             let (a, b) = (&pair[0], &pair[1]);
@@ -413,7 +415,7 @@ proptest! {
         let report = if shards == 0 {
             rt.run(factory())
         } else {
-            rt.run_sharded(shards, &*factory)
+            rt.run_concurrent(&ShardedAdapter::new(shards, &*factory))
         }.expect("runtime run failed");
         prop_assert!(report.error.is_none(), "runtime failed: {:?}", report.error);
         let c = &report.counters;
@@ -443,11 +445,11 @@ proptest! {
         let c = 1 + shards; // 1..=4 queues per worker, 3 workers
         let (mut rt, edge_mismatches) = mirror_graph(&g, &platform, Arc::clone(&model));
         prop_assert!(edge_mismatches.is_empty());
-        let report = rt
-            .run_relaxed(RelaxedConfig { queues_per_worker: c, seed, track_rank: true })
-            .expect("relaxed runtime run failed");
+        let cfg = RelaxedConfig { queues_per_worker: c, seed, track_rank: true };
+        let front = RelaxedMultiQueue::new(platform.worker_count(), cfg);
+        let report = rt.run_concurrent(&front).expect("relaxed runtime run failed");
         prop_assert!(report.error.is_none(), "relaxed runtime failed: {:?}", report.error);
-        let rank = report.rank.as_ref().expect("relaxed run reports rank stats");
+        let rank = front.rank_stats().expect("relaxed run reports rank stats");
         prop_assert!(rank.pops == n, "rank pops {} != tasks {n}", rank.pops);
         let cnt = &report.counters;
         if obs_enabled() {

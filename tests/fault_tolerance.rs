@@ -8,18 +8,27 @@
 //! surviving worker can execute. Fault injection is deterministic — the
 //! same plan reproduces the same schedule bit for bit.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use multiprio_suite::apps::dense::{potrf, DenseConfig};
 use multiprio_suite::apps::dense_model;
 use multiprio_suite::apps::random::{random_dag, random_model, RandomDagConfig};
+use multiprio_suite::audit::streaming_audit;
 use multiprio_suite::audit::{differential, schedule_hash, DiffConfig};
 use multiprio_suite::bench::make_scheduler_factory;
+use multiprio_suite::dag::DataId;
 use multiprio_suite::dag::{AccessMode, TaskGraph};
 use multiprio_suite::perfmodel::{PerfModel, TableModel, TimeFn};
 use multiprio_suite::platform::presets::simple;
 use multiprio_suite::platform::types::ArchClass;
-use multiprio_suite::runtime::{FaultPlan, RetryPolicy};
+use multiprio_suite::runtime::serve::TenantSpec;
+use multiprio_suite::runtime::{
+    FaultPlan, RelaxedConfig, RelaxedMultiQueue, RetryPolicy, RunError, Runtime, StreamConfig,
+    StreamReport, Submission, TaskBuilder, TaskCtx,
+};
+use multiprio_suite::sched::concurrent::ShardedAdapter;
+use multiprio_suite::sched::EagerPrioScheduler;
 use multiprio_suite::sim::{simulate, SimConfig, SimError};
 use multiprio_suite::trace::Trace;
 use proptest::prelude::*;
@@ -282,6 +291,219 @@ proptest! {
                 "mask={kill_mask:03b} kinds={kinds:03b} {}: expected NoCapableWorker, got {:?}",
                 SCHEDULERS[sched_idx], r.error
             );
+        }
+    }
+}
+
+// ---- Threaded serving under faults ------------------------------------
+//
+// Streams run through the same worker loop as batch runs, so they must
+// survive the same faults: worker kills (quarantine), transient attempt
+// failures and panicking kernels (retry), and end with a typed error
+// when no capable worker is left.
+
+/// simple(3, 1): workers 0–2 are CPUs, worker 3 is the GPU.
+const SERVE_CPUS: usize = 3;
+
+fn serve_model() -> Arc<dyn PerfModel> {
+    Arc::new(
+        TableModel::builder()
+            .set("SRV", ArchClass::Cpu, TimeFn::Const(5.0))
+            .set("SRV", ArchClass::Gpu, TimeFn::Const(2.0))
+            .set("SRVG", ArchClass::Gpu, TimeFn::Const(2.0))
+            .build(),
+    )
+}
+
+/// A task of type `SRV` running `f` on either class. When `flaky`, the
+/// first attempt panics before touching any buffer.
+fn srv(flaky: bool, f: impl Fn(&mut TaskCtx<'_>) + Send + Sync + 'static) -> TaskBuilder {
+    let armed = AtomicBool::new(flaky);
+    let body = Arc::new(move |ctx: &mut TaskCtx<'_>| {
+        assert!(!armed.swap(false, Ordering::Relaxed), "flaky kernel");
+        f(ctx);
+    });
+    let gpu = Arc::clone(&body);
+    TaskBuilder::new("SRV")
+        .cpu(move |ctx| body(ctx))
+        .gpu(move |ctx| gpu(ctx))
+}
+
+/// One sub-DAG: bump `root`, copy it into each of `outs`, sum the
+/// copies into `sum`. Final buffer values depend only on how many
+/// sub-DAGs ran on each root, never on the schedule.
+fn serve_subdag(
+    tenant: usize,
+    root: DataId,
+    outs: &[DataId],
+    sum: DataId,
+    flaky: bool,
+) -> Submission {
+    let mut tasks = vec![srv(flaky, |ctx| ctx.w(0)[0] += 1.0).access(root, AccessMode::ReadWrite)];
+    for &o in outs {
+        tasks.push(
+            srv(false, |ctx| ctx.w(0)[0] = ctx.r(1)[0])
+                .access(o, AccessMode::Write)
+                .access(root, AccessMode::Read),
+        );
+    }
+    let mut join = srv(flaky, |ctx| {
+        let s = (1..ctx.len()).map(|i| ctx.r(i)[0]).sum();
+        ctx.w(0)[0] = s;
+    })
+    .access(sum, AccessMode::Write);
+    for &o in outs {
+        join = join.access(o, AccessMode::Read);
+    }
+    tasks.push(join);
+    Submission { tenant, tasks }
+}
+
+/// Serve `stream` through front-end `front`: 0 = global lock, 1 =
+/// sharded, otherwise relaxed.
+fn serve_on(rt: &mut Runtime, front: usize, stream: Vec<Submission>) -> StreamReport {
+    let cfg = StreamConfig::new(TenantSpec::equal(2));
+    let report = match front {
+        0 => rt.serve(Box::new(EagerPrioScheduler::new()), &cfg, stream),
+        1 => {
+            let front = ShardedAdapter::new(2, &|| Box::new(EagerPrioScheduler::new()));
+            rt.serve_concurrent(&front, &cfg, stream)
+        }
+        _ => {
+            let front = RelaxedMultiQueue::new(SERVE_CPUS + 1, RelaxedConfig::default());
+            rt.serve_concurrent(&front, &cfg, stream)
+        }
+    };
+    report.expect("every stream here is valid")
+}
+
+/// Twelve fork-join sub-DAGs over three roots, from two tenants, with
+/// every other sub-DAG's bump and join flaky when `flaky`.
+fn faulty_serve(
+    front: usize,
+    plan: Option<FaultPlan>,
+    retry: RetryPolicy,
+    flaky: bool,
+) -> (StreamReport, Runtime) {
+    let mut rt = Runtime::new(simple(SERVE_CPUS, 1), serve_model());
+    if let Some(plan) = plan {
+        rt.set_faults(plan);
+    }
+    rt.set_retry_policy(retry);
+    let slots: Vec<(DataId, Vec<DataId>, DataId)> = (0..3)
+        .map(|k| {
+            let root = rt.register(vec![0.0], &format!("root{k}"));
+            let outs = (0..2)
+                .map(|i| rt.register(vec![0.0], &format!("out{k}.{i}")))
+                .collect();
+            (root, outs, rt.register(vec![0.0], &format!("sum{k}")))
+        })
+        .collect();
+    let stream = (0..12)
+        .map(|i| {
+            let (root, outs, sum) = &slots[i % 3];
+            serve_subdag(i % 2, *root, outs, *sum, flaky && i % 2 == 0)
+        })
+        .collect();
+    let report = serve_on(&mut rt, front, stream);
+    (report, rt)
+}
+
+#[test]
+fn serving_survives_kill_transient_and_panic_retry_plans() {
+    let retry = RetryPolicy::new(16, 0.0);
+    for front in 0..3 {
+        let (clean, rt) = faulty_serve(front, None, RetryPolicy::default(), false);
+        assert!(clean.is_complete(), "front {front}: {:?}", clean.error);
+        let want = rt.buffers_digest();
+        let kill = FaultPlan::default()
+            .kill_worker(0, 2)
+            .kill_worker(SERVE_CPUS, 1);
+        let transient = FaultPlan {
+            seed: 11,
+            transient_fail_prob: 0.3,
+            ..FaultPlan::default()
+        };
+        for (name, plan, flaky) in [
+            ("kill", Some(kill), false),
+            ("transient", Some(transient), false),
+            ("panic-retry", None, true),
+        ] {
+            let (r, rt) = faulty_serve(front, plan, retry, flaky);
+            assert!(r.is_complete(), "front {front}/{name}: {:?}", r.error);
+            assert_eq!(r.tasks_completed, 12 * 4, "front {front}/{name}");
+            let findings = streaming_audit(rt.graph(), &r.trace);
+            assert!(findings.is_empty(), "front {front}/{name}: {}", findings[0]);
+            assert_eq!(
+                rt.buffers_digest(),
+                want,
+                "front {front}/{name}: buffers differ"
+            );
+        }
+    }
+}
+
+#[test]
+fn serving_aborts_on_first_panic_under_the_default_retry_policy() {
+    for front in 0..3 {
+        let (r, rt) = faulty_serve(front, None, RetryPolicy::default(), true);
+        assert!(
+            matches!(r.error, Some(RunError::KernelPanicked { .. })),
+            "front {front}: got {:?}",
+            r.error
+        );
+        assert!(!r.is_complete());
+        // A partial trace: what ran before the abort ran once.
+        assert!(r.trace.tasks.len() < rt.graph().task_count());
+        let mut seen = vec![false; rt.graph().task_count()];
+        for s in &r.trace.tasks {
+            assert!(!std::mem::replace(&mut seen[s.task.index()], true));
+        }
+    }
+}
+
+/// GPU-only sub-DAGs on a platform whose lone GPU dies: the stream ends
+/// with `NoCapableWorker` instead of hanging — whether the doomed tasks
+/// were committed before the death (found by the dying worker) or after
+/// it (found by the driver at commit).
+#[test]
+fn serving_ends_typed_when_the_only_capable_class_dies() {
+    let gpu_only = |d: DataId| Submission {
+        tenant: 1,
+        tasks: vec![TaskBuilder::new("SRVG")
+            .access(d, AccessMode::ReadWrite)
+            .gpu(|ctx| ctx.w(0)[0] += 1.0)],
+    };
+    for front in 0..3 {
+        // Committed before the death: the GPU dies after its first task.
+        let mut rt = Runtime::new(simple(SERVE_CPUS, 1), serve_model());
+        rt.set_faults(FaultPlan::default().kill_worker(SERVE_CPUS, 1));
+        let d = rt.register(vec![0.0], "d");
+        let r = serve_on(&mut rt, front, (0..8).map(|_| gpu_only(d)).collect());
+        assert!(
+            matches!(r.error, Some(RunError::NoCapableWorker { .. })),
+            "front {front}: got {:?}",
+            r.error
+        );
+
+        // Committed after the death: the GPU dies at start, while the
+        // driver is still committing a long run of CPU work.
+        let mut rt = Runtime::new(simple(SERVE_CPUS, 1), serve_model());
+        rt.set_faults(FaultPlan::default().kill_worker(SERVE_CPUS, 0));
+        let (c, d) = (rt.register(vec![0.0], "c"), rt.register(vec![0.0], "d"));
+        let mut stream: Vec<Submission> = (0..200)
+            .map(|_| Submission {
+                tenant: 0,
+                tasks: vec![srv(false, |ctx| ctx.w(0)[0] += 1.0).access(c, AccessMode::ReadWrite)],
+            })
+            .collect();
+        stream.push(gpu_only(d));
+        let r = serve_on(&mut rt, front, stream);
+        match r.error {
+            Some(RunError::NoCapableWorker { task }) => {
+                assert_eq!(rt.graph().type_of(task).name, "SRVG", "front {front}");
+            }
+            other => panic!("front {front}: expected NoCapableWorker, got {other:?}"),
         }
     }
 }

@@ -255,9 +255,8 @@ fn killed_workers_shard_drains_through_the_survivors() {
         }
         rt.set_faults(FaultPlan::default().kill_worker(1, 2));
         rt.set_retry_policy(RetryPolicy::new(4, 0.0));
-        let report = rt
-            .run_sharded(shards, &|| Box::new(FifoScheduler::new()))
-            .expect("run failed");
+        let front = ShardedAdapter::new(shards, &|| Box::new(FifoScheduler::new()));
+        let report = rt.run_concurrent(&front).expect("run failed");
         assert!(
             report.error.is_none(),
             "shards={shards}: {:?}",
@@ -390,9 +389,9 @@ proptest! {
                 n += 1;
             }
         }
-        let report = rt
-            .run_relaxed(RelaxedConfig { queues_per_worker: c, seed, track_rank: true })
-            .expect("relaxed run failed");
+        let cfg = RelaxedConfig { queues_per_worker: c, seed, track_rank: true };
+        let front = RelaxedMultiQueue::new(workers, cfg);
+        let report = rt.run_concurrent(&front).expect("relaxed run failed");
         prop_assert!(report.error.is_none(), "{:?}", report.error);
         let mut spans = std::collections::HashMap::new();
         for s in &report.trace.tasks {
@@ -408,7 +407,7 @@ proptest! {
                 prop_assert!(pend <= start, "{t:?} started before {p:?} ended");
             }
         }
-        let rank = report.rank.as_ref().expect("rank stats");
+        let rank = front.rank_stats().expect("rank stats");
         prop_assert_eq!(rank.pops as usize, n);
         // Counter identities for c·P queues (obs builds only).
         if obs_enabled() {

@@ -10,6 +10,7 @@ use multiprio_suite::perfmodel::{HistoryModel, PerfModel, TableModel, TimeFn};
 use multiprio_suite::platform::presets::{homogeneous, simple};
 use multiprio_suite::platform::types::ArchClass;
 use multiprio_suite::runtime::{RunReport, Runtime, TaskBuilder};
+use multiprio_suite::sched::concurrent::ShardedAdapter;
 
 fn vector_pipeline(
     rt: &mut Runtime,
@@ -58,7 +59,7 @@ fn run_pipeline(sched: &str, shards: Option<usize>) -> (RunReport, Vec<Vec<f64>>
     let data = vector_pipeline(&mut rt, 6, 512);
     let report = match shards {
         None => rt.run(make_scheduler(sched)),
-        Some(s) => rt.run_sharded(s, &|| make_scheduler(sched)),
+        Some(s) => rt.run_concurrent(&ShardedAdapter::new(s, &|| make_scheduler(sched))),
     }
     .unwrap_or_else(|e| panic!("{sched}: {e}"));
     let bufs = data.iter().map(|&d| rt.buffer(d)).collect();

@@ -29,8 +29,9 @@ use multiprio_suite::platform::presets::homogeneous;
 use multiprio_suite::platform::types::ArchClass;
 use multiprio_suite::runtime::serve::TenantSpec;
 use multiprio_suite::runtime::{
-    RelaxedConfig, ResultCache, Runtime, StreamConfig, Submission, TaskBuilder,
+    RelaxedConfig, RelaxedMultiQueue, ResultCache, Runtime, StreamConfig, Submission, TaskBuilder,
 };
+use multiprio_suite::sched::concurrent::ShardedAdapter;
 use multiprio_suite::sched::EagerPrioScheduler;
 use proptest::prelude::*;
 
@@ -113,8 +114,16 @@ fn check_stream(
 
     let report = match front {
         0 => rt.serve(Box::new(EagerPrioScheduler::new()), &cfg, stream),
-        1 => rt.serve_sharded(2, &|| Box::new(EagerPrioScheduler::new()), &cfg, stream),
-        _ => rt.serve_relaxed(RelaxedConfig::default(), &cfg, stream),
+        1 => rt.serve_concurrent(
+            &ShardedAdapter::new(2, &|| Box::new(EagerPrioScheduler::new())),
+            &cfg,
+            stream,
+        ),
+        _ => rt.serve_concurrent(
+            &RelaxedMultiQueue::new(3, RelaxedConfig::default()),
+            &cfg,
+            stream,
+        ),
     }
     .expect("serve failed");
 
@@ -219,8 +228,16 @@ fn check_cached_stream(
             .collect();
         let report = match front {
             0 => rt.serve(Box::new(EagerPrioScheduler::new()), &cfg, stream),
-            1 => rt.serve_sharded(2, &|| Box::new(EagerPrioScheduler::new()), &cfg, stream),
-            _ => rt.serve_relaxed(RelaxedConfig::default(), &cfg, stream),
+            1 => rt.serve_concurrent(
+                &ShardedAdapter::new(2, &|| Box::new(EagerPrioScheduler::new())),
+                &cfg,
+                stream,
+            ),
+            _ => rt.serve_concurrent(
+                &RelaxedMultiQueue::new(3, RelaxedConfig::default()),
+                &cfg,
+                stream,
+            ),
         }
         .expect("serve failed");
         assert!(report.is_complete(), "error: {:?}", report.error);
